@@ -3,7 +3,8 @@
 GO ?= go
 
 .PHONY: all build test test-short vet lint bench benchcmp paperbench examples clean \
-	fmt fmt-check race bench-smoke fuzz-smoke soak-smoke soak-edits soak psad-smoke vulncheck ci
+	fmt fmt-check race bench-smoke fuzz-smoke soak-smoke soak-edits soak psad-smoke vulncheck \
+	perfbench-test ci
 
 all: build vet test
 
@@ -120,6 +121,15 @@ soak:
 psad-smoke:
 	$(GO) test -race -count=1 ./cmd/psad ./internal/service
 
+# The benchmark's own tests — the CI perfbench-test job. perfbench/ is a
+# separate Go module (it replaces psa by this checkout), so `make test`
+# does not reach it; this runs it with perfbench/run.sh's environment.
+PERFBENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOTOOLCHAIN=local \
+	GOWORK=off GOPROXY=off GOFLAGS=-mod=mod
+perfbench-test:
+	mkdir -p .bench_build/gocache
+	cd perfbench && $(PERFBENCH_ENV) $(GO) test ./...
+
 # Known-vulnerability scan over the module and its (stdlib-only)
 # dependency graph. govulncheck is optional locally, like staticcheck:
 # the target degrades with a notice so `make ci` works offline; the CI
@@ -133,4 +143,5 @@ vulncheck:
 	fi
 
 # Everything .github/workflows/ci.yml runs, locally.
-ci: fmt-check build lint vulncheck test race bench-smoke fuzz-smoke soak-smoke soak-edits psad-smoke
+ci: fmt-check build lint vulncheck test race bench-smoke fuzz-smoke soak-smoke soak-edits psad-smoke \
+	perfbench-test

@@ -258,15 +258,15 @@ func coversConcrete(cfg *sem.Config, av absdom.Value, cv sem.Value, k int) error
 			return fmt.Errorf("abstract %s misses %d", av, cv.N)
 		}
 	case sem.KindFn:
-		if !av.CoversFn(cv.Fn) {
-			return fmt.Errorf("abstract %s misses fn%d", av, cv.Fn)
+		if !av.CoversFn(cv.FnIndex()) {
+			return fmt.Errorf("abstract %s misses fn%d", av, cv.FnIndex())
 		}
 	case sem.KindPtr:
 		var target absdom.Target
-		if cv.Ptr.Space == sem.SpaceGlobal {
-			target = absdom.Target{Index: cv.Ptr.Base}
+		if l := cv.Loc(); l.Space == sem.SpaceGlobal {
+			target = absdom.Target{Index: l.Base}
 		} else {
-			obj := cfg.Heap[cv.Ptr.Base]
+			obj := cfg.Heap[l.Base]
 			if obj == nil {
 				return nil // dangling: no obligation
 			}

@@ -116,21 +116,22 @@ func valueCovered(av absdom.Value, v sem.Value, c *sem.Config, opts Options) err
 			return fmt.Errorf("int %d not covered by %s", v.N, av)
 		}
 	case sem.KindFn:
-		if !av.CoversFn(v.Fn) {
-			return fmt.Errorf("fn%d not covered by %s", v.Fn, av)
+		if !av.CoversFn(v.FnIndex()) {
+			return fmt.Errorf("fn%d not covered by %s", v.FnIndex(), av)
 		}
 	case sem.KindPtr:
 		if av.Ptrs.All {
 			return nil
 		}
-		if v.Ptr.Space == sem.SpaceGlobal {
-			t := absdom.Target{Index: v.Ptr.Base}
+		l := v.Loc()
+		if l.Space == sem.SpaceGlobal {
+			t := absdom.Target{Index: l.Base}
 			if !av.CoversPtrTarget(t) {
-				return fmt.Errorf("pointer %s not covered by %s", v.Ptr, av)
+				return fmt.Errorf("pointer %s not covered by %s", l, av)
 			}
 			return nil
 		}
-		obj, live := c.Heap[v.Ptr.Base]
+		obj, live := c.Heap[l.Base]
 		if !live {
 			// Dangling: the object was freed, its site is unrecoverable.
 			// Any heap-directed abstract pointer covers it.
@@ -140,7 +141,7 @@ func valueCovered(av absdom.Value, v sem.Value, c *sem.Config, opts Options) err
 						return nil
 					}
 				}
-				return fmt.Errorf("dangling pointer %s not covered by %s (no heap target)", v.Ptr, av)
+				return fmt.Errorf("dangling pointer %s not covered by %s (no heap target)", l, av)
 			}
 			return nil
 		}
@@ -157,7 +158,7 @@ func valueCovered(av absdom.Value, v sem.Value, c *sem.Config, opts Options) err
 			}
 		}
 		return fmt.Errorf("heap pointer %s (site %d, birth %q) not covered by %s",
-			v.Ptr, obj.Site, exact.Birth, av)
+			l, obj.Site, exact.Birth, av)
 	}
 	return nil
 }

@@ -74,10 +74,11 @@ func (c *Config) NextAccess(procIdx int) AccessSet {
 	case *lang.AssertStmt:
 		d.expr(s.Cond)
 	case *lang.FreeStmt:
-		if v, ok := d.expr(s.Ptr); ok && v.Kind == KindPtr && v.Ptr.Space == SpaceHeap {
-			if obj := c.Heap[v.Ptr.Base]; obj != nil {
+		if v, ok := d.expr(s.Ptr); ok && v.Kind == KindPtr && v.Space == SpaceHeap {
+			base := v.Loc().Base
+			if obj := c.Heap[base]; obj != nil {
 				for off := range obj.Cells {
-					d.acc.Writes = addLoc(d.acc.Writes, Loc{Space: SpaceHeap, Base: v.Ptr.Base, Off: off})
+					d.acc.Writes = addLoc(d.acc.Writes, Loc{Space: SpaceHeap, Base: base, Off: off})
 				}
 			}
 		}
@@ -134,8 +135,8 @@ func (d *dryRun) expr(e lang.Expr) (Value, bool) {
 		if !ok || pv.Kind != KindPtr {
 			return Undef, false
 		}
-		d.acc.Reads = addLoc(d.acc.Reads, pv.Ptr)
-		v, err := d.cfg.load(pv.Ptr)
+		d.acc.Reads = addLoc(d.acc.Reads, pv.Loc())
+		v, err := d.cfg.load(pv.Loc())
 		return v, err == nil
 	case *lang.AddrExpr:
 		return PtrVal(Loc{Space: SpaceGlobal, Base: e.Index}), true
@@ -180,7 +181,7 @@ func (d *dryRun) target(t lang.Expr) {
 	case *lang.DerefExpr:
 		pv, ok := d.expr(t.Ptr)
 		if ok && pv.Kind == KindPtr {
-			d.acc.Writes = addLoc(d.acc.Writes, pv.Ptr)
+			d.acc.Writes = addLoc(d.acc.Writes, pv.Loc())
 		}
 	}
 }

@@ -2,7 +2,7 @@ package sem
 
 import (
 	"encoding/binary"
-	"hash/fnv"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -14,14 +14,25 @@ import (
 // instrumentation history, so exploration merges them.
 type Key string
 
-// Fingerprint is a 128-bit hash of a configuration's canonical encoding:
-// two independent 64-bit lanes (FNV-1a and a golden-ratio multiplicative
-// hash, both finalized with a splitmix-style avalanche) folded over the
-// exact byte stream Encode produces. Equal configurations always have
-// equal fingerprints; distinct configurations collide with probability
-// ~n²/2¹²⁹ for n states (≈10⁻²⁰ even at a billion states), which is the
-// Holzmann hash-compaction trade: the explorers' fingerprint mode keys
-// the visited set by 16 bytes per state instead of the full encoding.
+// Fingerprint is a 128-bit hash of a configuration's canonical walk, the
+// same walk Encode renders as text. The hash reads the walk as a stream
+// of 64-bit words rather than as the Key's bytes: each number is one
+// word, each separator byte is one word, and each string is one or more
+// words that carry its length (see (*encoder).str). A number sits only
+// where the walk's grammar expects one, and separator words never look
+// like string words, so the stream decodes back to the walk: two
+// configurations have equal streams iff they have equal Keys.
+//
+// Two 64-bit lanes fold the stream, each with its own multiply-rotate
+// round (see (*encoder).word), and are finalized with the splitmix64
+// avalanche. A round is a bijection of the lane for a fixed word and of
+// the word for a fixed lane, so two streams of equal length that differ
+// in exactly one word never collide. No stronger bound is proved. If the
+// lanes behaved as independent random functions, n distinct states would
+// collide with probability ~n²/2¹²⁹ (≈10⁻²⁰ even at a billion states).
+// This is the Holzmann hash-compaction trade: the explorers' fingerprint
+// mode keys the visited set by 16 bytes per state instead of the full
+// encoding. Equal configurations always have equal fingerprints.
 type Fingerprint struct{ Hi, Lo uint64 }
 
 // Zero reports whether f is the zero fingerprint (never produced by
@@ -71,14 +82,14 @@ func (c *Config) Encode() Key { return c.encode(true) }
 // buys (DESIGN.md §5).
 func (c *Config) EncodeNoCanon() Key { return c.encode(false) }
 
-// Fingerprint hashes the canonical encoding without materializing the
-// key: the encoder streams through a pooled fixed-size scratch buffer
-// that is folded into the two hash lanes whenever it fills, so the call
-// allocates nothing and uses O(1) memory in the state size. It always
-// equals Encode().Fingerprint().
+// Fingerprint hashes the canonical walk without materializing the key:
+// the encoder folds each number, byte and string into the two hash lanes
+// as it goes, so the call allocates nothing and uses O(1) memory in the
+// state size. Two configurations have equal fingerprints iff (up to hash
+// collisions) they have equal Encode keys.
 func (c *Config) Fingerprint() Fingerprint { return c.fingerprint(true) }
 
-// FingerprintNoCanon is Fingerprint over the EncodeNoCanon byte stream.
+// FingerprintNoCanon is Fingerprint over the EncodeNoCanon walk.
 func (c *Config) FingerprintNoCanon() Fingerprint { return c.fingerprint(false) }
 
 func (c *Config) encode(canon bool) Key {
@@ -92,22 +103,9 @@ func (c *Config) encode(canon bool) Key {
 func (c *Config) fingerprint(canon bool) Fingerprint {
 	e := getEncoder(c, canon, true)
 	c.encodeBody(e)
-	e.flush()
-	fp := finalizeLanes(e.h1, e.h2, e.n)
+	fp := e.sum()
 	putEncoder(e)
 	return fp
-}
-
-// Fingerprint hashes an already-materialized key with the same lanes and
-// finalizer the streaming encoder uses, so k.Fingerprint() ==
-// c.Fingerprint() whenever k == c.Encode().
-func (k Key) Fingerprint() Fingerprint {
-	h1, h2 := uint64(fnvOffset64), uint64(lane2Offset)
-	for i := 0; i < len(k); i++ {
-		h1 = (h1 ^ uint64(k[i])) * fnvPrime64
-		h2 = (h2 ^ uint64(k[i])) * lane2Prime
-	}
-	return finalizeLanes(h1, h2, len(k))
 }
 
 func (c *Config) encodeBody(enc *encoder) {
@@ -193,42 +191,21 @@ func (c *Config) encodeBody(enc *encoder) {
 	}
 }
 
-// Hash lanes. Lane 1 is FNV-1a; lane 2 uses a different odd multiplier
-// (2⁶⁴/φ) so the two lanes disagree on any same-length byte difference —
-// FNV-1a with merely a different offset basis would collide in lockstep,
-// because its collisions on equal-length inputs are independent of the
-// initial value.
+// Hash lanes: odd multipliers and offsets for the two word rounds. Lane 1
+// uses the xxHash64 primes, lane 2 the golden-ratio and splitmix
+// multipliers; the lanes also combine word and state differently (add vs
+// xor) and rotate by different amounts, so they are different functions
+// of the stream.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	lane1Offset = 0xCBF29CE484222325
+	lane1Mul    = 0xC2B2AE3D27D4EB4F
+	lane1Prime  = 0x9E3779B185EBCA87
 	lane2Offset = 0x2545F4914F6CDD1D
-	lane2Prime  = 0x9E3779B97F4A7C15
+	lane2Mul    = 0x9E3779B97F4A7C15
+	lane2Prime  = 0xBF58476D1CE4E5B9
 )
 
-// finalizeLanes folds the total length in and avalanches each lane
-// (splitmix64 finalizer), so short encodings still use all 128 bits.
-func finalizeLanes(h1, h2 uint64, n int) Fingerprint {
-	return Fingerprint{
-		Hi: mix64(h1 ^ uint64(n)),
-		Lo: mix64(h2 ^ (uint64(n) << 32)),
-	}
-}
-
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // --- Pooled encoder --------------------------------------------------------
-
-// encSpillBytes is the scratch-buffer size at which hash-only encoding
-// folds buffered bytes into the lanes; key-producing encoding never
-// spills (the buffer IS the key).
-const encSpillBytes = 512
 
 // maxPooledCap bounds the scratch capacity a pooled encoder may retain,
 // so one huge configuration does not pin its buffer forever.
@@ -236,7 +213,7 @@ const maxPooledCap = 1 << 16
 
 var encPool = sync.Pool{New: func() any {
 	encoderMisses.Add(1)
-	return &encoder{b: make([]byte, 0, encSpillBytes)}
+	return &encoder{b: make([]byte, 0, 512)}
 }}
 
 var (
@@ -259,7 +236,7 @@ func getEncoder(c *Config, canon, hashOnly bool) *encoder {
 	e.hashOnly = hashOnly
 	e.b = e.b[:0]
 	e.order = e.order[:0]
-	e.h1, e.h2 = fnvOffset64, lane2Offset
+	e.h1, e.h2 = lane1Offset, lane2Offset
 	e.n = 0
 	clear(e.rename)
 	return e
@@ -273,6 +250,9 @@ func putEncoder(e *encoder) {
 	encPool.Put(e)
 }
 
+// An encoder runs one canonical walk (Config.encodeBody) in one of two
+// modes: it appends the walk to b as the Key's decimal text, or, in
+// hashOnly mode, folds it into the two hash lanes word by word.
 type encoder struct {
 	cfg    *Config
 	b      []byte
@@ -280,35 +260,88 @@ type encoder struct {
 	order  []int
 	canon  bool
 
-	// Streaming-hash state (hashOnly mode): the two lanes plus the count
-	// of bytes already folded out of b.
+	// Hash state (hashOnly mode): the two lanes and the number of words
+	// folded into them.
 	hashOnly bool
 	h1, h2   uint64
 	n        int
 }
 
-func (e *encoder) byte(c byte)  { e.b = append(e.b, c); e.spill() }
-func (e *encoder) str(s string) { e.b = append(e.b, s...); e.spill() }
-func (e *encoder) num(n int64)  { e.b = strconv.AppendInt(e.b, n, 10); e.spill() }
-
-// spill keeps hash-only encoding O(1) in state size: once the scratch
-// buffer fills, fold it into the lanes and reuse it.
-func (e *encoder) spill() {
-	if !e.hashOnly || len(e.b) < encSpillBytes {
+func (e *encoder) byte(c byte) {
+	if e.hashOnly {
+		e.word(uint64(c))
 		return
 	}
-	e.flush()
+	e.b = append(e.b, c)
 }
 
-func (e *encoder) flush() {
-	h1, h2 := e.h1, e.h2
-	for _, c := range e.b {
-		h1 = (h1 ^ uint64(c)) * fnvPrime64
-		h2 = (h2 ^ uint64(c)) * lane2Prime
+// str folds a string of up to seven bytes as one word: its length in the
+// low byte, its bytes above. A longer string folds a word holding its
+// length over a 0xff marker, then its bytes eight to a word. Either way
+// the string's words say where it ends, so the stream stays prefix-free.
+func (e *encoder) str(s string) {
+	if !e.hashOnly {
+		e.b = append(e.b, s...)
+		return
 	}
-	e.h1, e.h2 = h1, h2
-	e.n += len(e.b)
-	e.b = e.b[:0]
+	if len(s) < 8 {
+		w := uint64(len(s))
+		for i := 0; i < len(s); i++ {
+			w |= uint64(s[i]) << (8 * (i + 1))
+		}
+		e.word(w)
+		return
+	}
+	e.word(uint64(len(s))<<8 | 0xff)
+	var w uint64
+	for i := 0; i < len(s); i++ {
+		w |= uint64(s[i]) << (8 * (i & 7))
+		if i&7 == 7 {
+			e.word(w)
+			w = 0
+		}
+	}
+	if len(s)&7 != 0 {
+		e.word(w)
+	}
+}
+
+func (e *encoder) num(n int64) {
+	if e.hashOnly {
+		e.word(uint64(n))
+		return
+	}
+	e.b = strconv.AppendInt(e.b, n, 10)
+}
+
+// word folds one 64-bit word into both lanes. The multiply before the
+// rotate carries every input bit upward, the rotate brings the high bits
+// down, and the multiply after it spreads them again, so each input bit
+// reaches at least 34 bits of each lane, in both halves.
+func (e *encoder) word(w uint64) {
+	e.h1 = bits.RotateLeft64(e.h1+w*lane1Mul, 31) * lane1Prime
+	e.h2 = bits.RotateLeft64(e.h2^w*lane2Mul, 27) * lane2Prime
+	e.n++
+}
+
+// sum folds the word count in and avalanches each lane (the splitmix64
+// finalizer), so short streams still use all 128 bits.
+func (e *encoder) sum() Fingerprint {
+	return Fingerprint{
+		Hi: e.avalanche(e.h1 ^ uint64(e.n)),
+		Lo: e.avalanche(e.h2 ^ uint64(e.n)<<32),
+	}
+}
+
+// avalanche is the splitmix64 finalizer. It is an encoder method so that
+// CPU profiles charge it, with the rest of the hashing, to the encoder.
+func (*encoder) avalanche(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
 }
 
 // canonID returns the canonical id for a heap allocation, assigning the
@@ -363,21 +396,11 @@ func (e *encoder) value(v Value) {
 		e.byte(',')
 	case KindPtr:
 		e.byte('p')
-		e.loc(v.Ptr)
+		e.loc(v.Loc())
 		e.byte(',')
 	case KindFn:
 		e.byte('f')
-		e.num(int64(v.Fn))
+		e.num(v.N)
 		e.byte(',')
 	}
-}
-
-// Hash returns a 64-bit hash of the canonical key, for sizing diagnostics
-// and for striping parallel visited sets.
-func (k Key) Hash() uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(k))
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], h.Sum64())
-	return binary.BigEndian.Uint64(buf[:])
 }

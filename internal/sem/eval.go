@@ -54,7 +54,7 @@ func (st *stepper) eval(s lang.Stmt, e lang.Expr) (Value, error) {
 		if pv.Kind != KindPtr {
 			return Undef, st.rerr(s, "dereference of non-pointer %s", pv)
 		}
-		return st.readLoc(s, pv.Ptr)
+		return st.readLoc(s, pv.Loc())
 
 	case *lang.AddrExpr:
 		return PtrVal(Loc{Space: SpaceGlobal, Base: e.Index}), nil
@@ -131,18 +131,16 @@ func BinopVal(op lang.TokKind, x, y Value) (Value, error) {
 
 	// Pointer arithmetic: ptr ± int.
 	if x.Kind == KindPtr && y.Kind == KindInt && (op == lang.TokPlus || op == lang.TokMinus) {
-		d := y.N
 		if op == lang.TokMinus {
-			d = -d
+			x.N -= y.N
+		} else {
+			x.N += y.N
 		}
-		l := x.Ptr
-		l.Off += int(d)
-		return PtrVal(l), nil
+		return x, nil
 	}
 	if x.Kind == KindInt && y.Kind == KindPtr && op == lang.TokPlus {
-		l := y.Ptr
-		l.Off += int(x.N)
-		return PtrVal(l), nil
+		y.N += x.N
+		return y, nil
 	}
 
 	if x.Kind != KindInt || y.Kind != KindInt {

@@ -1,6 +1,14 @@
 package sem
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"psa/internal/progen"
+	"psa/internal/workloads"
+)
 
 // fpWalk collects a few BFS levels' worth of distinct configurations from
 // the given program — enough variety (heap growth, cobegin interleavings,
@@ -44,18 +52,103 @@ func main() {
 }
 `
 
-// The streaming fingerprint must agree with hashing the materialized
-// canonical key — they are two paths over the same byte stream, and the
-// explorers' fingerprint mode is only sound against KeepGraph/terminal
-// keys if they can never disagree.
-func TestFingerprintMatchesEncode(t *testing.T) {
-	for _, cfg := range fpWalk(t, fpTestProg, 6) {
-		if got, want := cfg.Fingerprint(), cfg.Encode().Fingerprint(); got != want {
-			t.Fatalf("Fingerprint() = %s, Encode().Fingerprint() = %s", got, want)
+// fpCorpus returns the initial configurations of the partition corpus:
+// fpTestProg, Philosophers(3), every testdata program and twenty
+// default-profile progen programs.
+func fpCorpus(t *testing.T) map[string]*Config {
+	t.Helper()
+	out := map[string]*Config{
+		"fpTestProg":      initial(t, fpTestProg),
+		"philosophers(3)": NewConfig(workloads.Philosophers(3)),
+	}
+	files, err := filepath.Glob("../../testdata/*.cb")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs (%v)", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got, want := cfg.FingerprintNoCanon(), cfg.EncodeNoCanon().Fingerprint(); got != want {
-			t.Fatalf("FingerprintNoCanon() = %s, EncodeNoCanon().Fingerprint() = %s", got, want)
+		out[filepath.Base(f)] = initial(t, string(src))
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		prog, _, err := progen.Generate(seed, progen.DefaultProfile())
+		if err != nil {
+			t.Fatal(err)
 		}
+		out[fmt.Sprintf("progen-%d", seed)] = NewConfig(prog)
+	}
+	return out
+}
+
+// walkSuccessors explores breadth-first from c, expanding at most limit
+// distinct configurations, and calls visit on c and on every successor it
+// generates, including successors that repeat an earlier configuration.
+func walkSuccessors(c *Config, limit int, visit func(*Config)) {
+	visit(c)
+	seen := map[Key]bool{}
+	queue := []*Config{c}
+	for len(queue) > 0 && len(seen) < limit {
+		cur := queue[0]
+		queue = queue[1:]
+		k := cur.Encode()
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		for _, i := range cur.Enabled() {
+			succ := cur.Step(i).Config
+			visit(succ)
+			queue = append(queue, succ)
+		}
+	}
+}
+
+// Fingerprints partition configurations exactly as keys do: two
+// configurations have equal fingerprints iff they have equal keys, with
+// and without heap canonicalization. The fingerprint hashes a word stream
+// of the walk Encode renders as text, so this is the contract that makes
+// fingerprint-mode exploration agree with exact keys.
+func TestFingerprintPartitionsLikeKey(t *testing.T) {
+	modes := []struct {
+		name string
+		key  func(*Config) Key
+		fp   func(*Config) Fingerprint
+	}{
+		{"canon", (*Config).Encode, (*Config).Fingerprint},
+		{"nocanon", (*Config).EncodeNoCanon, (*Config).FingerprintNoCanon},
+	}
+	corpus := fpCorpus(t)
+	for _, m := range modes {
+		keys, repeats := 0, 0
+		for name, c0 := range corpus {
+			byKey := map[Key]Fingerprint{}
+			byFP := map[Fingerprint]Key{}
+			visits := 0
+			walkSuccessors(c0, 400, func(c *Config) {
+				visits++
+				k, fp := m.key(c), m.fp(c)
+				if fp.Zero() {
+					t.Fatalf("%s/%s: zero fingerprint for %q", name, m.name, k)
+				}
+				if prev, ok := byKey[k]; ok && prev != fp {
+					t.Fatalf("%s/%s: key %q has fingerprints %s and %s", name, m.name, k, prev, fp)
+				}
+				if prev, ok := byFP[fp]; ok && prev != k {
+					t.Fatalf("%s/%s: fingerprint %s shared by keys %q and %q", name, m.name, fp, prev, k)
+				}
+				byKey[k], byFP[fp] = fp, k
+			})
+			keys += len(byKey)
+			repeats += visits - len(byKey)
+		}
+		// Both directions of the iff need material: many distinct keys,
+		// and many configurations reached again along another path.
+		if keys < 5000 || repeats < 5000 {
+			t.Errorf("%s: %d keys and %d repeated visits are too few to exercise the partition", m.name, keys, repeats)
+		}
+		t.Logf("%s: %d keys, %d repeated visits", m.name, keys, repeats)
 	}
 }
 
@@ -81,17 +174,6 @@ func TestFingerprintStableAndInjectiveOnCorpus(t *testing.T) {
 			t.Fatalf("fingerprint collision: %s for keys %q and %q", fp, prev, k)
 		}
 		byFP[fp] = k
-	}
-}
-
-// Key.Fingerprint must match the config-level fingerprint — this is what
-// lets exact-mode and fingerprint-mode runs be compared key by key.
-func TestKeyFingerprintAgrees(t *testing.T) {
-	for _, cfg := range fpWalk(t, fpTestProg, 4) {
-		k := cfg.Encode()
-		if k.Fingerprint() != cfg.Fingerprint() {
-			t.Fatalf("Key.Fingerprint %s != Config.Fingerprint %s", k.Fingerprint(), cfg.Fingerprint())
-		}
 	}
 }
 

@@ -312,24 +312,25 @@ func (st *stepper) exec(s lang.Stmt) error {
 		if err != nil {
 			return err
 		}
-		if v.Kind != KindPtr || v.Ptr.Space != SpaceHeap {
+		if v.Kind != KindPtr || v.Space != SpaceHeap {
 			return st.rerr(s, "free of non-heap value %s", v)
 		}
-		if v.Ptr.Off != 0 {
+		l := v.Loc()
+		if l.Off != 0 {
 			return st.rerr(s, "free of interior pointer %s", v)
 		}
-		obj := st.cfg.Heap[v.Ptr.Base]
+		obj := st.cfg.Heap[l.Base]
 		if obj == nil {
 			return st.rerr(s, "double free of %s", v)
 		}
 		// Freeing conflicts with every access to the object: record a
 		// write event per cell.
 		for off := range obj.Cells {
-			st.event(s.NodeID(), Write, Loc{Space: SpaceHeap, Base: v.Ptr.Base, Off: off})
+			st.event(s.NodeID(), Write, Loc{Space: SpaceHeap, Base: l.Base, Off: off})
 		}
 		h := make(map[int]*HeapObj, len(st.cfg.Heap))
 		for k, o := range st.cfg.Heap {
-			if k != v.Ptr.Base {
+			if k != l.Base {
 				h[k] = o
 			}
 		}
@@ -360,7 +361,7 @@ func (st *stepper) destOf(s lang.Stmt, target lang.Expr) (retDest, error) {
 		if pv.Kind != KindPtr {
 			return retDest{}, st.rerr(s, "store through non-pointer %s", pv)
 		}
-		return retDest{kind: retLoc, loc: pv.Ptr}, nil
+		return retDest{kind: retLoc, loc: pv.Loc()}, nil
 	}
 	return retDest{}, st.rerr(s, "bad assignment target %T", target)
 }
@@ -386,7 +387,7 @@ func (st *stepper) call(s lang.Stmt, c *lang.CallExpr, dest retDest) error {
 	if cv.Kind != KindFn {
 		return st.rerr(s, "call of non-function %s", cv)
 	}
-	fn := st.cfg.Prog.Funcs[cv.Fn]
+	fn := st.cfg.Prog.Funcs[cv.FnIndex()]
 	if len(c.Args) != len(fn.Params) {
 		return st.rerr(s, "call of %s with %d args, want %d", fn.Name, len(c.Args), len(fn.Params))
 	}

@@ -61,21 +61,36 @@ const (
 // Value is a runtime value: undefined, an integer, a pointer to a Loc, or
 // a function (by index). The zero Value is undefined, matching
 // uninitialized storage.
+//
+// A Value is 24 bytes: two tag bytes and two 64-bit words, read through
+// Loc and FnIndex for pointers and functions. The constructors zero every
+// word a kind does not use, so == is value equality.
 type Value struct {
-	Kind Kind
-	N    int64 // KindInt
-	Ptr  Loc   // KindPtr
-	Fn   int   // KindFn: function index
+	Kind  Kind
+	Space Space // KindPtr: the pointee's storage space
+	// N is the integer (KindInt), the cell offset (KindPtr) or the
+	// function index (KindFn).
+	N int64
+	// Base is the global index or allocation ID of the pointee (KindPtr).
+	Base int64
 }
 
 // IntVal makes an integer value.
 func IntVal(n int64) Value { return Value{Kind: KindInt, N: n} }
 
 // PtrVal makes a pointer value.
-func PtrVal(l Loc) Value { return Value{Kind: KindPtr, Ptr: l} }
+func PtrVal(l Loc) Value {
+	return Value{Kind: KindPtr, Space: l.Space, N: int64(l.Off), Base: int64(l.Base)}
+}
 
 // FnVal makes a function value.
-func FnVal(index int) Value { return Value{Kind: KindFn, Fn: index} }
+func FnVal(index int) Value { return Value{Kind: KindFn, N: int64(index)} }
+
+// Loc returns the location a pointer value points to.
+func (v Value) Loc() Loc { return Loc{Space: v.Space, Base: int(v.Base), Off: int(v.N)} }
+
+// FnIndex returns the function index of a function value.
+func (v Value) FnIndex() int { return int(v.N) }
 
 // Undef is the undefined value.
 var Undef = Value{}
@@ -99,9 +114,9 @@ func (v Value) String() string {
 	case KindInt:
 		return fmt.Sprintf("%d", v.N)
 	case KindPtr:
-		return "&" + v.Ptr.String()
+		return "&" + v.Loc().String()
 	case KindFn:
-		return fmt.Sprintf("fn%d", v.Fn)
+		return fmt.Sprintf("fn%d", v.N)
 	default:
 		return "undef"
 	}
