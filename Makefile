@@ -99,9 +99,11 @@ soak-smoke:
 
 # Fixed-seed edit-sequence soak smoke — the CI soak-edits job: oracle 5
 # drives random 3-edit chains (progen.Mutate) through persistent
-# incremental sessions at 0/1/4 workers under both schedulers and
-# requires bit-identical results and deterministic counters against
-# from-scratch analysis of every version, under the race detector.
+# incremental sessions at 0/1/4 workers under both schedulers (each
+# reuses the previous result when an edit leaves the canonical program
+# hash unchanged) and requires bit-identical results and deterministic
+# counters against from-scratch analysis of every version, under the
+# race detector.
 EDITS_N ?= 200
 soak-edits:
 	$(GO) run -race ./cmd/psasoak -seed $(SOAK_SEED) -n $(EDITS_N) -edits 3 -profile small -max-configs 4096 -corpus soak-corpus

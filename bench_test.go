@@ -314,16 +314,16 @@ func BenchmarkAbstractParallel(b *testing.B) {
 // (Fig8Calls = E7, SideEffects = E9), under the interval domain the
 // other abstract benchmarks use. For each workload:
 //
-//   - scratch:  cold pipeline.Analyze of the edited program — the cost a
-//     service without summaries pays per submission;
+//   - scratch:  cold pipeline.Analyze of the edited program — the cost
+//     of a submission no cache can serve;
 //   - rename:   a parameter/local rename (α-neutral single-procedure
 //     edit) resubmitted to a persistent incremental session — the
 //     whole-program fast path replays the previous result from its
 //     canonical hash without re-running the fixpoint;
 //   - editwarm: base and a one-procedure body edit alternated through a
-//     persistent session — every iteration is a REAL edit, re-running
-//     the fixpoint warm against the summary store the previous version
-//     populated.
+//     persistent session — every iteration is a REAL edit, so the
+//     session hashes the program and re-runs the fixpoint from scratch
+//     (the row should land at ≈ scratch).
 //
 // All program versions are parsed once up front, so the timed loops
 // compare pure (re-)analysis cost, not parsing. Results are

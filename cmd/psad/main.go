@@ -19,21 +19,21 @@
 //	GET  /healthz  liveness probe
 //	GET  /metrics  service stats + aggregated engine counters
 //
-// Identical concurrent submissions (same program hash, same
-// result-relevant options) coalesce onto one engine run; completed
-// results are cached under the same key, bounded by -cache-max with
-// least-recently-used eviction (the cache_evictions counter in /metrics
-// tracks drops). Worker count and scheduler are server-side
-// configuration: by the engines' determinism contract they never change
-// results, so responses are bit-identical to cmd/psa's summaries for
-// the same program and options at any -workers setting.
+// Identical concurrent submissions (same program, same result-relevant
+// options) coalesce onto one engine run; completed results are cached
+// under the same key, bounded by -cache-max with least-recently-used
+// eviction (the cache_evictions counter in /metrics tracks drops). For
+// abstract requests "same program" means the same canonical program
+// hash (the response's program_hash): an α-renamed, relabelled, or
+// reformatted resubmission is served from the cache. Explore requests
+// are keyed on their exact text. Worker count and scheduler are
+// server-side configuration: by the engines' determinism contract they
+// never change results, so responses are bit-identical to cmd/psa's
+// summaries for the same program and options at any -workers setting.
 //
-// Incremental re-analysis: an abstract response carries a program_hash;
-// submitting an edited program with {"base": "<that hash>"} routes the
-// run through a per-options incremental session that reuses procedure
-// summaries for unchanged code (summary_hit / summary_miss /
-// summary_invalidated in /metrics). Responses stay bit-identical to
-// cold runs — base is purely an optimization hint.
+// The request field "base" (the program_hash of a previous version) is
+// accepted and ignored; /metrics counts abstract runs that carried it
+// as incremental_runs.
 //
 // Shutdown: on SIGINT/SIGTERM the daemon stops accepting connections
 // and drains in-flight requests for -drain; runs still going after the

@@ -40,6 +40,23 @@ func main() {
 }
 `
 
+// smokeAbsProg is smokeProg with a local, so it has α-renamed copies.
+const smokeAbsProg = `
+var g; var flag; var data; var out;
+func main() {
+  cobegin {
+    s1: g = 1;
+    data = 42;
+    flag = 1;
+  } || {
+    s2: g = 2;
+    loop: while flag == 0 { skip; }
+    var d = data;
+    s3: out = d;
+  } coend
+}
+`
+
 // End-to-end smoke: boot the daemon on an ephemeral port, drive one
 // explore and one abstract run plus the health/metrics endpoints over
 // real HTTP, then SIGTERM it and require a clean drained exit 0.
@@ -121,7 +138,7 @@ func TestPsadSmoke(t *testing.T) {
 	}
 
 	out, code = post(map[string]any{
-		"program":  smokeProg,
+		"program":  smokeAbsProg,
 		"analysis": "abstract",
 		"options":  map[string]any{"domain": "interval"},
 	})
@@ -130,6 +147,25 @@ func TestPsadSmoke(t *testing.T) {
 	}
 	if s, _ := out["summary"].(string); !strings.Contains(s, "abstract states=") {
 		t.Errorf("abstract summary: %v", out)
+	}
+
+	// An α-renamed copy (different labels and layout too) has the same
+	// canonical hash, so the result cache serves it.
+	renamed := strings.NewReplacer("var d = data;", "var e = data;", "out = d;", "out = e;",
+		"s1:", "a:", "loop:", "", "\n", " ").Replace(smokeAbsProg)
+	if renamed == smokeAbsProg {
+		t.Fatal("rename did not apply")
+	}
+	again, code := post(map[string]any{
+		"program":  renamed,
+		"analysis": "abstract",
+		"options":  map[string]any{"domain": "interval"},
+	})
+	if code != http.StatusOK || again["cached"] != true {
+		t.Fatalf("α-renamed abstract resubmission: status %d, want cached, body %v", code, again)
+	}
+	if again["summary"] != out["summary"] || again["program_hash"] != out["program_hash"] {
+		t.Errorf("α-renamed resubmission diverged: %v vs %v", again, out)
 	}
 
 	// A parse error is a 400, not a daemon failure.

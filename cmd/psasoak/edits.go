@@ -9,10 +9,10 @@ package main
 //   - from scratch: pipeline.Analyze with a fresh metrics registry;
 //   - incrementally: six persistent pipeline.Incremental sessions — one
 //     per (workers, scheduler) point in {0, 1, 4} × {leveled,
-//     dep-driven} — each fed the whole chain in order, so a session's
-//     later versions reuse the summary store its earlier versions
-//     populated (and the whole previous result when the edit was
-//     α-neutral).
+//     dep-driven} — each fed the whole chain in order, so a version
+//     whose canonical program hash equals its predecessor's (an
+//     α-neutral edit) is served from the previous result with its
+//     counters replayed, and every other version runs from scratch.
 //
 // The oracle demands Result.Digest equality AND deterministic-counter
 // equality at every step of every session: incremental re-analysis must

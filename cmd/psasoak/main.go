@@ -17,7 +17,8 @@
 // (progen.Mutate), and every version is checked for bit-identity —
 // Result digest and deterministic counters — between from-scratch
 // analysis and six persistent incremental sessions (workers 0/1/4 ×
-// both schedulers) that carry their summary stores across the chain.
+// both schedulers) that reuse the previous result across α-neutral
+// edits.
 //
 // Programs whose exploration hits the configuration cap are skipped (the
 // oracles need complete answers). On divergence the failing program is

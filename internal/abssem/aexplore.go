@@ -75,15 +75,6 @@ type Options struct {
 	// (Result.FootprintOf / Conflicts) — the §5.2 dependences computed
 	// from the abstract semantics with no concrete exploration.
 	CollectFootprints bool
-	// Summaries, when non-nil, attaches a shared procedure-summary cache:
-	// per-visit expansions are served from it when their key matches and
-	// recorded into it otherwise, and an edited program invalidates only
-	// the entries whose referenced procedures changed (see summary.go and
-	// DESIGN.md §13). Execution-only, like Workers/Sched/Pool/Metrics: a
-	// cache hit is bit-identical to a fresh computation by construction,
-	// so attaching a store (cold or warm) never changes any Result field
-	// or deterministic counter, and AbstractKey excludes it.
-	Summaries *SummaryStore
 	// Metrics, when non-nil, receives worklist/visit counts, join and
 	// widening events, and phase wall-clock during the fixpoint
 	// iteration. Nil disables instrumentation.
@@ -251,9 +242,6 @@ func newStepCtx(prog *lang.Program, opts Options) *stepCtx {
 	if opts.CollectFootprints {
 		sc.foot = &footRec{m: map[lang.NodeID]map[AbsAccess]bool{}}
 	}
-	if opts.Summaries != nil {
-		sc.sum = opts.Summaries.beginRun(prog, opts, sc.sharing, opts.Metrics)
-	}
 	return sc
 }
 
@@ -319,10 +307,9 @@ fixpoint:
 		m.Inc(metrics.AbsVisits)
 
 		// Expansion goes through expandState — the same per-visit unit the
-		// parallel engines fan out and the summary cache memoizes — so all
-		// three engines and the cache replay literally identical successor
-		// sets (footprints land in per-process scratch and merge here in
-		// the same order the parallel serial merges use).
+		// parallel engines fan out — so all three engines replay literally
+		// identical successor sets (footprints land in per-process scratch
+		// and merge here in the same order the parallel serial merges use).
 		e := expandState(sc, stv.cfg)
 		if len(e.enabled) == 0 {
 			continue // terminal; collected after the fixpoint
@@ -371,7 +358,6 @@ fixpoint:
 	}
 
 	res.collect(states, m)
-	sc.sum.publish()
 	return res
 }
 

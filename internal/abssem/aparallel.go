@@ -169,7 +169,6 @@ func analyzeParallel(ctx context.Context, prog *lang.Program, opts Options) *Res
 	}
 
 	res.collect(states, m)
-	sc.sum.publish()
 	return res
 }
 
@@ -194,36 +193,11 @@ type aExpansion struct {
 // steps through a shallow copy of sc pointing at a private scratch
 // recorder, so concurrent expansions never share the mutable footprint
 // map; everything else in sc is read-only during a round.
-//
-// With a summary cache attached (sc.sum), the expansion is served from
-// the cache when the configuration's portable key matches a recorded
-// entry and recorded otherwise. A hit returns successors equal, value
-// for value, to what a fresh computation would produce — the key covers
-// every input the step reads (see summary.go) — so the merge replay
-// cannot distinguish the two and results stay bit-identical whether the
-// cache is cold, warm, or absent.
 func expandState(sc *stepCtx, cfg *AConfig) aExpansion {
 	e := aExpansion{enabled: cfg.enabled()}
 	if len(e.enabled) == 0 {
 		return e
 	}
-	if sc.sum != nil {
-		if key, refs, calls, ok := sc.sum.encode(cfg, e.enabled); ok {
-			if cached, hit := sc.sum.lookup(key); hit {
-				cached.enabled = e.enabled
-				return cached
-			}
-			fresh := expandStateFresh(sc, cfg, e.enabled)
-			sc.sum.record(key, refs, calls, fresh)
-			return fresh
-		}
-	}
-	return expandStateFresh(sc, cfg, e.enabled)
-}
-
-// expandStateFresh is the uncached expansion.
-func expandStateFresh(sc *stepCtx, cfg *AConfig, enabled []int) aExpansion {
-	e := aExpansion{enabled: enabled}
 	e.succs = make([][]*AConfig, len(e.enabled))
 	e.sigs = make([][]ctrlSig, len(e.enabled))
 	e.foots = make([]*footRec, len(e.enabled))

@@ -19,9 +19,6 @@ type stepCtx struct {
 	recLim  int
 	clan    bool
 	foot    *footRec // non-nil when collecting abstract footprints
-	// sum is the run's handle on the shared summary cache (nil when
-	// Options.Summaries is unset); expandState consults and feeds it.
-	sum *runSummaries
 }
 
 // step computes all abstract successors of firing process pi in c. A

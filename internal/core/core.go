@@ -94,9 +94,8 @@ type Analyzer struct {
 	abstracts  map[string]*abssem.Result
 
 	// inc is the analyzer's incremental abstract session (AnalyzeEdit);
-	// incKey is the abstract options key it was built for. On an options
-	// change the session is rebuilt around the SAME summary store — the
-	// store's epoch check clears or keeps entries as appropriate.
+	// incKey is the abstract options key it was built for. An options
+	// change opens a fresh session.
 	inc    *pipeline.Incremental
 	incKey string
 }
@@ -283,13 +282,12 @@ func (a *Analyzer) AbstractWith(opts AbstractOptions) *AbstractResult {
 }
 
 // AnalyzeEdit re-targets the analyzer at an edited version of its
-// program and returns the abstract result for the new version, reusing
-// as much of the previous version's work as the edit allows: procedures
-// whose canonical body hashes (and, for callees, transitive hashes) are
-// unchanged keep their cached expansion summaries, and an α-equivalent
-// edit (e.g. a local rename, without clan folding) skips the fixpoint
-// entirely (see pipeline.Incremental). The result is bit-identical to a
-// from-scratch analysis of newProg under the current configuration.
+// program and returns the abstract result for the new version. An
+// α-equivalent edit (e.g. a local rename, without clan folding) reuses
+// the previous result without re-running the fixpoint; any other edit
+// runs from scratch (see pipeline.Incremental). The result is
+// bit-identical to a from-scratch analysis of newProg under the current
+// configuration.
 //
 // The analyzer's program becomes newProg: subsequent Collect/Abstract/
 // application queries answer for the new version (their per-program
@@ -297,11 +295,7 @@ func (a *Analyzer) AbstractWith(opts AbstractOptions) *AbstractResult {
 func (a *Analyzer) AnalyzeEdit(newProg *lang.Program) *AbstractResult {
 	key := pipeline.AbstractKey(a.opts.AbstractOptions())
 	if a.inc == nil || a.incKey != key {
-		var store *abssem.SummaryStore
-		if a.inc != nil {
-			store = a.inc.SummaryStore()
-		}
-		a.inc = pipeline.NewIncrementalWithStore(a.runOptions(), nil, store)
+		a.inc = pipeline.NewIncremental(a.runOptions(), nil)
 		a.incKey = key
 	} else {
 		// Same result-relevant options: refresh the execution-only fields

@@ -3,20 +3,17 @@ package lang
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
 	"strconv"
 )
 
-// This file defines the canonical, position-independent procedure hashes
-// the summary-based incremental analysis layer (internal/abssem,
-// internal/pipeline) keys on, plus the NodeTable that names AST nodes by
-// (procedure index, traversal ordinal) instead of by NodeID — the two
-// ingredients that let analysis artifacts survive a re-parse of an edited
-// program.
+// This file defines the canonical, position-independent whole-program
+// hash that result caches key on (the psad result cache, pipeline.
+// Incremental's fast path): two programs with equal hashes get identical
+// abstract-analysis results, so a cached result answers for both.
 //
-// Two hash modes exist per procedure:
+// Two hash modes exist:
 //
-//   - the α-renamed hash ("alpha") identifies bodies up to renaming of
+//   - the α-renamed hash ("alpha") identifies programs up to renaming of
 //     params and locals: locals are rendered by their resolver-assigned
 //     frame slot, so "var a = 1; g = a" and "var b = 1; g = b" hash
 //     equal. Globals and procedures are rendered by name (renaming those
@@ -28,79 +25,39 @@ import (
 //
 // Statement labels are excluded from BOTH modes: no engine result depends
 // on them (they only name statements for queries), so a label edit is a
-// no-op edit.
-//
-// The transitive hash folds the callee hashes of every procedure referred
-// to BY NAME (calls and first-class uses alike) into the referrer,
-// iterated |funcs| times so a change anywhere in the static call graph —
-// including through recursion cycles — reaches every transitive caller.
+// no-op edit. Source positions are excluded too: the parser numbers
+// nodes in structural order, so reformatting moves nothing.
 
-// ProgramHashes carries every canonical digest of one resolved program.
-// Slices are indexed by FuncDecl.Index.
+// ProgramHashes carries the whole-program digests of one resolved
+// program in both modes.
 type ProgramHashes struct {
-	// Alpha and Named are the per-procedure local body hashes in the two
-	// modes (see the file comment).
-	Alpha []string
-	Named []string
-	// AlphaTrans and NamedTrans fold each procedure's transitive callees
-	// (by name) into its local hash: a procedure's transitive hash changes
-	// iff its own body or any body reachable from it by name changed.
-	AlphaTrans []string
-	NamedTrans []string
-	// GlobalsDigest covers the global declarations: names, initializers,
-	// and order (global indices embed in analysis artifacts, so order
-	// matters).
-	GlobalsDigest string
-	// FuncNamesDigest covers the procedure name list in declaration order
-	// (function indices embed in analysis artifacts too).
-	FuncNamesDigest string
-
-	progAlpha string
-	progNamed string
+	alpha string
+	named string
 }
 
 // ProgramHash returns the whole-program digest in the requested mode: it
-// covers the globals section, the procedure list, and every body, so two
-// programs with equal hashes are α-equivalent (named == false) or
-// identical up to labels and formatting (named == true).
+// covers the globals section (names, initializers, order), the procedure
+// list (names and arities, in order), and every body, so two programs
+// with equal hashes are α-equivalent (named == false) or identical up to
+// labels and formatting (named == true).
 func (h *ProgramHashes) ProgramHash(named bool) string {
 	if named {
-		return h.progNamed
+		return h.named
 	}
-	return h.progAlpha
+	return h.alpha
 }
 
-// Local returns procedure i's local body hash in the requested mode.
-func (h *ProgramHashes) Local(i int, named bool) string {
-	if named {
-		return h.Named[i]
-	}
-	return h.Alpha[i]
-}
-
-// Transitive returns procedure i's callee-folded hash in the requested
-// mode.
-func (h *ProgramHashes) Transitive(i int, named bool) string {
-	if named {
-		return h.NamedTrans[i]
-	}
-	return h.AlphaTrans[i]
-}
-
-// HashProgram computes every canonical digest of a resolved program.
+// HashProgram computes both whole-program digests of a resolved program.
+// The rendering is a stable format: clients pass the hash back and
+// compare it across releases, so it must not change.
 func HashProgram(p *Program) *ProgramHashes {
 	n := len(p.Funcs)
-	h := &ProgramHashes{
-		Alpha: make([]string, n),
-		Named: make([]string, n),
-	}
-	callees := make([][]string, n)
-	hw := &hashWriter{callees: map[string]bool{}}
+	alpha, named := make([]string, n), make([]string, n)
+	hw := &hashWriter{}
 	for i, f := range p.Funcs {
 		hw.reset()
 		hw.fn(f)
-		h.Alpha[i], h.Named[i] = hw.sums()
-		callees[i] = hw.calleeNames()
+		alpha[i], named[i] = hw.sums()
 	}
 
 	var buf []byte
@@ -110,7 +67,7 @@ func HashProgram(p *Program) *ProgramHashes {
 		buf = strconv.AppendInt(buf, g.Init, 10)
 		buf = append(buf, ';')
 	}
-	h.GlobalsDigest = digest(buf)
+	globals := digest(buf)
 	buf = buf[:0]
 	for _, f := range p.Funcs {
 		buf = append(buf, f.Name...)
@@ -118,74 +75,22 @@ func HashProgram(p *Program) *ProgramHashes {
 		buf = strconv.AppendInt(buf, int64(len(f.Params)), 10)
 		buf = append(buf, ';')
 	}
-	h.FuncNamesDigest = digest(buf)
+	funcNames := digest(buf)
 
-	h.AlphaTrans = transitive(p, h.Alpha, callees)
-	h.NamedTrans = transitive(p, h.Named, callees)
-
-	ph := func(local []string) string {
+	ph := func(bodies []string) string {
 		buf = append(buf[:0], "prog|"...)
-		buf = append(buf, h.GlobalsDigest...)
+		buf = append(buf, globals...)
 		buf = append(buf, '|')
-		buf = append(buf, h.FuncNamesDigest...)
+		buf = append(buf, funcNames...)
 		for i, f := range p.Funcs {
 			buf = append(buf, '|')
 			buf = append(buf, f.Name...)
 			buf = append(buf, ':')
-			buf = append(buf, local[i]...)
+			buf = append(buf, bodies[i]...)
 		}
 		return digest(buf)
 	}
-	h.progAlpha = ph(h.Alpha)
-	h.progNamed = ph(h.Named)
-	return h
-}
-
-// transitive iterates the callee fold |funcs| times: after k rounds a
-// procedure's hash covers every body reachable within k name-edges, and a
-// change can only propagate one edge per round, so |funcs| rounds reach a
-// fixed label for every edit — including through recursion cycles, where
-// the labels keep evolving but deterministically, identically for
-// identical programs. A round that changes no label is a fixed point
-// (every later round would reproduce it verbatim), so the loop exits
-// early then — on acyclic call graphs that is after call-depth rounds,
-// not |funcs|.
-func transitive(p *Program, local []string, callees [][]string) []string {
-	type edge struct {
-		name string
-		j    int
-	}
-	resolved := make([][]edge, len(callees))
-	for i, names := range callees {
-		for _, name := range names {
-			if j, ok := p.funcIndex[name]; ok {
-				resolved[i] = append(resolved[i], edge{name, j})
-			}
-		}
-	}
-	cur := append([]string(nil), local...)
-	next := make([]string, len(local))
-	var buf []byte
-	for round := 0; round < len(p.Funcs); round++ {
-		changed := false
-		for i := range p.Funcs {
-			buf = append(buf[:0], "t|"...)
-			buf = append(buf, local[i]...)
-			for _, e := range resolved[i] {
-				buf = append(buf, '|')
-				buf = append(buf, e.name...)
-				buf = append(buf, '=')
-				buf = append(buf, cur[e.j]...)
-			}
-			next[i] = digest(buf)
-			changed = changed || next[i] != cur[i]
-		}
-		cur, next = next, cur
-		if !changed {
-			break
-		}
-	}
-	return cur
+	return &ProgramHashes{alpha: ph(alpha), named: ph(named)}
 }
 
 func digest(b []byte) string {
@@ -196,33 +101,20 @@ func digest(b []byte) string {
 // hashWriter accumulates one procedure's canonical rendering for the two
 // hash modes: structural tokens go to both buffers, declared names only
 // to the name-sensitive one. Buffering the rendering and hashing once in
-// sums keeps the hot path (HashProgram runs on every incremental
-// submission) free of per-token hash.Write calls and conversions.
+// sums keeps the hot path (HashProgram runs on every abstract psad
+// request) free of per-token hash.Write calls and conversions.
 type hashWriter struct {
-	alpha   []byte
-	named   []byte
-	callees map[string]bool
+	alpha []byte
+	named []byte
 }
 
 func (w *hashWriter) reset() {
 	w.alpha = w.alpha[:0]
 	w.named = w.named[:0]
-	for name := range w.callees {
-		delete(w.callees, name)
-	}
 }
 
 func (w *hashWriter) sums() (alpha, named string) {
 	return digest(w.alpha), digest(w.named)
-}
-
-func (w *hashWriter) calleeNames() []string {
-	out := make([]string, 0, len(w.callees))
-	for name := range w.callees {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (w *hashWriter) emit(s string) {
@@ -326,7 +218,6 @@ func (w *hashWriter) expr(e Expr) {
 			w.emit("g:" + e.Name)
 		case RefFunc:
 			w.emit("f:" + e.Name)
-			w.callees[e.Name] = true
 		default:
 			w.emit("?ref")
 		}
@@ -360,103 +251,5 @@ func (w *hashWriter) expr(e Expr) {
 		w.emit(")")
 	default:
 		w.emit("?expr")
-	}
-}
-
-// NodeOrd names an AST node position-independently: the index of the
-// procedure that contains it and the node's ordinal in the canonical
-// traversal of that procedure's subtree. Two programs whose procedure i
-// hashes equal assign the same ordinals to corresponding nodes, so a
-// NodeOrd computed against one program resolves against the other.
-type NodeOrd struct {
-	Fn  int
-	Ord int
-}
-
-// NodeTable maps between NodeIDs (parse-order identities, which shift
-// whenever an earlier procedure changes size) and NodeOrds (stable under
-// any edit outside the owning procedure). Build one per program with
-// BuildNodeTable.
-type NodeTable struct {
-	ords  map[NodeID]NodeOrd
-	nodes [][]Node // [func index][ordinal]
-}
-
-// BuildNodeTable enumerates every node under every procedure of a
-// program in the canonical traversal order.
-func BuildNodeTable(p *Program) *NodeTable {
-	t := &NodeTable{
-		ords:  make(map[NodeID]NodeOrd),
-		nodes: make([][]Node, len(p.Funcs)),
-	}
-	for i, f := range p.Funcs {
-		var list []Node
-		walkFuncNodes(f, func(n Node) {
-			t.ords[n.NodeID()] = NodeOrd{Fn: i, Ord: len(list)}
-			list = append(list, n)
-		})
-		t.nodes[i] = list
-	}
-	return t
-}
-
-// Ord returns the position-independent name of the node with the given
-// ID (ok == false for IDs outside every procedure body, e.g. globals).
-func (t *NodeTable) Ord(id NodeID) (NodeOrd, bool) {
-	o, ok := t.ords[id]
-	return o, ok
-}
-
-// Node resolves a position-independent name against this table's program
-// (nil when out of range).
-func (t *NodeTable) Node(o NodeOrd) Node {
-	if o.Fn < 0 || o.Fn >= len(t.nodes) || o.Ord < 0 || o.Ord >= len(t.nodes[o.Fn]) {
-		return nil
-	}
-	return t.nodes[o.Fn][o.Ord]
-}
-
-// FuncNodeCount returns the number of nodes under procedure i — equal
-// counts are a cheap structural sanity check before remapping artifacts
-// between two programs whose procedure hashes match.
-func (t *NodeTable) FuncNodeCount(i int) int {
-	if i < 0 || i >= len(t.nodes) {
-		return 0
-	}
-	return len(t.nodes[i])
-}
-
-// walkFuncNodes visits every node of a procedure subtree in canonical
-// order: the declaration, then each block (block node first, then its
-// statements; per statement the expressions in evaluation-source order,
-// then nested blocks).
-func walkFuncNodes(f *FuncDecl, visit func(Node)) {
-	visit(f)
-	walkBlockNodes(f.Body, visit)
-}
-
-func walkBlockNodes(b *Block, visit func(Node)) {
-	if b == nil {
-		return
-	}
-	visit(b)
-	for _, s := range b.Stmts {
-		walkStmtNodes(s, visit)
-	}
-}
-
-func walkStmtNodes(s Stmt, visit func(Node)) {
-	visit(s)
-	WalkExprs(s, func(e Expr) { visit(e) })
-	switch s := s.(type) {
-	case *CobeginStmt:
-		for _, arm := range s.Arms {
-			walkBlockNodes(arm, visit)
-		}
-	case *IfStmt:
-		walkBlockNodes(s.Then, visit)
-		walkBlockNodes(s.Else, visit)
-	case *WhileStmt:
-		walkBlockNodes(s.Body, visit)
 	}
 }

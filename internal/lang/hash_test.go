@@ -1,7 +1,7 @@
 package lang
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -26,36 +26,30 @@ func main() {
 }
 `
 
-func hashOf(t *testing.T, src string) (*Program, *ProgramHashes) {
+func hashOf(t *testing.T, src string) *ProgramHashes {
 	t.Helper()
 	p, err := Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return p, HashProgram(p)
+	return HashProgram(p)
 }
 
-func funcHash(t *testing.T, p *Program, h *ProgramHashes, name string, trans, named bool) string {
-	t.Helper()
-	f := p.Func(name)
-	if f == nil {
-		t.Fatalf("no func %q", name)
+// TestProgramHashGolden pins the hash values: clients pass program_hash
+// back and compare it across releases, so the rendering must not change.
+func TestProgramHashGolden(t *testing.T) {
+	h := hashOf(t, hashBase)
+	if got, want := h.ProgramHash(false), "c4b4a73f7fc3987ef5d4849ab01ad8bf"; got != want {
+		t.Errorf("alpha program hash = %s, want %s", got, want)
 	}
-	if trans {
-		return h.Transitive(f.Index, named)
+	if got, want := h.ProgramHash(true), "a85c3447ac0bab25771d3a5203d60bb6"; got != want {
+		t.Errorf("named program hash = %s, want %s", got, want)
 	}
-	return h.Local(f.Index, named)
 }
 
 func TestHashRenameLocalAlphaInvariant(t *testing.T) {
-	_, ha := hashOf(t, `func main() { var a = 1; var b = a + 2; b = b - a; }`)
-	_, hb := hashOf(t, `func main() { var x = 1; var y = x + 2; y = y - x; }`)
-	if ha.Alpha[0] != hb.Alpha[0] {
-		t.Errorf("alpha hash should ignore local names: %s vs %s", ha.Alpha[0], hb.Alpha[0])
-	}
-	if ha.Named[0] == hb.Named[0] {
-		t.Errorf("named hash should see local names")
-	}
+	ha := hashOf(t, `func main() { var a = 1; var b = a + 2; b = b - a; }`)
+	hb := hashOf(t, `func main() { var x = 1; var y = x + 2; y = y - x; }`)
 	if ha.ProgramHash(false) != hb.ProgramHash(false) {
 		t.Errorf("alpha program hash should ignore local names")
 	}
@@ -65,182 +59,57 @@ func TestHashRenameLocalAlphaInvariant(t *testing.T) {
 }
 
 func TestHashRenameParamAlphaInvariant(t *testing.T) {
-	_, ha := hashOf(t, `func f(p) { p = p + 1; } func main() { f(1); }`)
-	_, hb := hashOf(t, `func f(q) { q = q + 1; } func main() { f(1); }`)
-	if ha.Alpha[0] != hb.Alpha[0] {
-		t.Errorf("alpha hash should ignore param names")
+	ha := hashOf(t, `func f(p) { p = p + 1; } func main() { f(1); }`)
+	hb := hashOf(t, `func f(q) { q = q + 1; } func main() { f(1); }`)
+	if ha.ProgramHash(false) != hb.ProgramHash(false) {
+		t.Errorf("alpha program hash should ignore param names")
 	}
-	if ha.Named[0] == hb.Named[0] {
-		t.Errorf("named hash should see param names")
+	if ha.ProgramHash(true) == hb.ProgramHash(true) {
+		t.Errorf("named program hash should see param names")
 	}
 }
 
 func TestHashLabelExcluded(t *testing.T) {
-	_, ha := hashOf(t, `var g = 0; func main() { g = 1; while g > 0 { g = g - 1; } }`)
-	_, hb := hashOf(t, `var g = 0; func main() { L1: g = 1; L2: while g > 0 { g = g - 1; } }`)
-	if ha.Alpha[0] != hb.Alpha[0] || ha.Named[0] != hb.Named[0] {
-		t.Errorf("labels must not affect body hashes")
-	}
-	if ha.ProgramHash(true) != hb.ProgramHash(true) {
-		t.Errorf("labels must not affect the program hash")
-	}
-}
-
-func TestHashTransitivePropagation(t *testing.T) {
-	pa, ha := hashOf(t, hashBase)
-	edited := `
-var g = 0;
-
-func leaf(x) {
-  g = x + 2;
-}
-
-func caller() {
-  leaf(2);
-}
-
-func other() {
-  g = 7;
-}
-
-func main() {
-  caller();
-  other();
-}
-`
-	pb, hb := hashOf(t, edited)
-
-	// leaf changed locally; caller and main only transitively; other not
-	// at all.
-	if funcHash(t, pa, ha, "leaf", false, false) == funcHash(t, pb, hb, "leaf", false, false) {
-		t.Errorf("leaf local hash should change")
-	}
-	if funcHash(t, pa, ha, "caller", false, false) != funcHash(t, pb, hb, "caller", false, false) {
-		t.Errorf("caller local hash should not change")
-	}
-	if funcHash(t, pa, ha, "caller", true, false) == funcHash(t, pb, hb, "caller", true, false) {
-		t.Errorf("caller transitive hash should change (callee edited)")
-	}
-	if funcHash(t, pa, ha, "main", true, false) == funcHash(t, pb, hb, "main", true, false) {
-		t.Errorf("main transitive hash should change (transitive callee edited)")
-	}
-	if funcHash(t, pa, ha, "other", true, false) != funcHash(t, pb, hb, "other", true, false) {
-		t.Errorf("other transitive hash should not change")
-	}
-}
-
-func TestHashTransitiveRecursion(t *testing.T) {
-	// Mutually recursive procedures still get deterministic transitive
-	// hashes, and an edit inside the cycle changes both.
-	src := func(k string) string {
-		return `var g = 0;
-func even(n) { if n > 0 { odd(n - 1); } }
-func odd(n) { if n > 0 { even(n - 1); } g = g + ` + k + `; }
-func main() { even(4); }`
-	}
-	pa, ha := hashOf(t, src("1"))
-	pb, hb := hashOf(t, src("1"))
-	pc, hc := hashOf(t, src("2"))
-	if funcHash(t, pa, ha, "even", true, false) != funcHash(t, pb, hb, "even", true, false) {
-		t.Errorf("transitive hashes must be deterministic under recursion")
-	}
-	if funcHash(t, pa, ha, "even", true, false) == funcHash(t, pc, hc, "even", true, false) {
-		t.Errorf("edit inside recursion cycle must reach every member")
+	ha := hashOf(t, `var g = 0; func main() { g = 1; while g > 0 { g = g - 1; } }`)
+	hb := hashOf(t, `var g = 0; func main() { L1: g = 1; L2: while g > 0 { g = g - 1; } }`)
+	for _, named := range []bool{false, true} {
+		if ha.ProgramHash(named) != hb.ProgramHash(named) {
+			t.Errorf("named=%t: labels must not affect the program hash", named)
+		}
 	}
 }
 
 func TestHashPositionIndependence(t *testing.T) {
-	// Editing an earlier procedure renumbers every later NodeID, but the
-	// later procedures' hashes must not move.
-	pa, ha := hashOf(t, hashBase)
-	edited := `
-var g = 0;
-
-func leaf(x) {
-  g = x + 1;
-  g = g + 0;
-  skip;
-}
-
-func caller() {
-  leaf(2);
-}
-
-func other() {
-  g = 7;
-}
-
-func main() {
-  caller();
-  other();
-}
-`
-	pb, hb := hashOf(t, edited)
-	for _, name := range []string{"caller", "other", "main"} {
-		if funcHash(t, pa, ha, name, false, true) != funcHash(t, pb, hb, name, false, true) {
-			t.Errorf("%s local hash moved under an edit to an earlier proc", name)
+	// The same program on different lines and columns hashes equal in
+	// both modes; a one-token body edit moves both.
+	flat := strings.Join(strings.Fields(hashBase), " ")
+	moved := "\n\n\n" + strings.ReplaceAll(hashBase, "\n", "\n\n  ")
+	edited := strings.Replace(hashBase, "g = 7", "g = 8", 1)
+	h0, hf, hm, he := hashOf(t, hashBase), hashOf(t, flat), hashOf(t, moved), hashOf(t, edited)
+	for _, named := range []bool{false, true} {
+		if hf.ProgramHash(named) != h0.ProgramHash(named) || hm.ProgramHash(named) != h0.ProgramHash(named) {
+			t.Errorf("named=%t: reformatting moved the program hash", named)
 		}
-	}
-	if funcHash(t, pa, ha, "other", true, true) != funcHash(t, pb, hb, "other", true, true) {
-		t.Errorf("other transitive hash moved; it never calls leaf")
+		if he.ProgramHash(named) == h0.ProgramHash(named) {
+			t.Errorf("named=%t: a body edit left the program hash unchanged", named)
+		}
 	}
 }
 
 func TestHashGlobalsAndFuncList(t *testing.T) {
-	_, ha := hashOf(t, `var g = 0; func main() { g = 1; }`)
-	_, hb := hashOf(t, `var g = 1; func main() { g = 1; }`)
-	if ha.GlobalsDigest == hb.GlobalsDigest {
-		t.Errorf("global initializer change must move GlobalsDigest")
-	}
-	_, hc := hashOf(t, `var g = 0; func extra() { skip; } func main() { g = 1; }`)
-	if ha.FuncNamesDigest == hc.FuncNamesDigest {
-		t.Errorf("procedure add must move FuncNamesDigest")
-	}
-	_, he := hashOf(t, `var g = 0; func extra(x) { skip; } func main() { g = 1; }`)
-	if hc.FuncNamesDigest == he.FuncNamesDigest {
-		t.Errorf("signature (arity) change must move FuncNamesDigest")
-	}
-}
-
-func TestNodeTableRoundTrip(t *testing.T) {
-	p := MustParse(hashBase)
-	tab := BuildNodeTable(p)
-	seen := 0
-	for _, f := range p.Funcs {
-		walkFuncNodes(f, func(n Node) {
-			seen++
-			o, ok := tab.Ord(n.NodeID())
-			if !ok {
-				t.Fatalf("node %d missing from table", n.NodeID())
+	base := `var g = 0; var h = 0; func extra() { skip; } func main() { g = 1; }`
+	for name, src := range map[string]string{
+		"global initializer": `var g = 1; var h = 0; func extra() { skip; } func main() { g = 1; }`,
+		"global order":       `var h = 0; var g = 0; func extra() { skip; } func main() { g = 1; }`,
+		"procedure add":      `var g = 0; var h = 0; func extra() { skip; } func more() { skip; } func main() { g = 1; }`,
+		"procedure delete":   `var g = 0; var h = 0; func main() { g = 1; }`,
+		"arity":              `var g = 0; var h = 0; func extra(x) { skip; } func main() { g = 1; }`,
+		"procedure order":    `var g = 0; var h = 0; func main() { g = 1; } func extra() { skip; }`,
+	} {
+		for _, named := range []bool{false, true} {
+			if hashOf(t, src).ProgramHash(named) == hashOf(t, base).ProgramHash(named) {
+				t.Errorf("%s (named=%t) must move the program hash", name, named)
 			}
-			if got := tab.Node(o); got != n {
-				t.Fatalf("ord %v resolves to a different node", o)
-			}
-		})
-	}
-	if seen == 0 {
-		t.Fatal("walked no nodes")
-	}
-	if got, ok := tab.Ord(NodeID(1 << 30)); ok {
-		t.Fatalf("bogus id resolved to %v", got)
-	}
-}
-
-func TestNodeTableCorrespondence(t *testing.T) {
-	// α-equal procedures assign identical ordinals to corresponding
-	// nodes even when absolute NodeIDs differ between the two programs.
-	pa := MustParse(`func main() { var a = 1; while a > 0 { a = a - 1; } }`)
-	pb := MustParse(`var extra = 9; func main() { var z = 1; while z > 0 { z = z - 1; } }`)
-	ta, tb := BuildNodeTable(pa), BuildNodeTable(pb)
-	if ta.FuncNodeCount(0) != tb.FuncNodeCount(0) {
-		t.Fatalf("α-equal bodies disagree on node count: %d vs %d",
-			ta.FuncNodeCount(0), tb.FuncNodeCount(0))
-	}
-	for ord := 0; ord < ta.FuncNodeCount(0); ord++ {
-		na := ta.Node(NodeOrd{Fn: 0, Ord: ord})
-		nb := tb.Node(NodeOrd{Fn: 0, Ord: ord})
-		if ka, kb := fmt.Sprintf("%T", na), fmt.Sprintf("%T", nb); ka != kb {
-			t.Fatalf("ord %d: kind mismatch %s vs %s", ord, ka, kb)
 		}
 	}
 }

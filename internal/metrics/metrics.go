@@ -101,15 +101,6 @@ const (
 	// on scheduling and are perf-only.
 	DepMergeWaits
 	AbsDepMergeWaits
-	// SummaryHit / SummaryMiss count procedure-summary cache lookups
-	// during abstract runs wired to an abssem.SummaryStore;
-	// SummaryInvalidated counts cached summaries dropped when the store
-	// rebased onto an edited program. All three are perf-only: hit rates
-	// depend on cache warmth and edit history, never on the result (the
-	// summary layer's bit-identity contract).
-	SummaryHit
-	SummaryMiss
-	SummaryInvalidated
 	numCounters
 )
 
@@ -138,9 +129,6 @@ var counterNames = [numCounters]string{
 	AnalysisCacheMiss:    "analysis_cache_miss",
 	DepMergeWaits:        "dep_merge_waits",
 	AbsDepMergeWaits:     "abs_dep_merge_waits",
-	SummaryHit:           "summary_hit",
-	SummaryMiss:          "summary_miss",
-	SummaryInvalidated:   "summary_invalidated",
 }
 
 // PerfOnly reports whether the counter measures implementation effort
@@ -151,8 +139,7 @@ func (c Counter) PerfOnly() bool {
 	switch c {
 	case EncPoolHit, EncPoolMiss, FrontierSteals, AbsSteals, AbsStaleRecomputes,
 		PipelineFusedSinks, AnalysisCacheHit, AnalysisCacheMiss,
-		DepMergeWaits, AbsDepMergeWaits,
-		SummaryHit, SummaryMiss, SummaryInvalidated:
+		DepMergeWaits, AbsDepMergeWaits:
 		return true
 	}
 	return false

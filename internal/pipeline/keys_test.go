@@ -61,7 +61,4 @@ func TestKeyGolden(t *testing.T) {
 	if AbstractKey(abssem.Options{Workers: 7}) != AbstractKey(abssem.Options{}) {
 		t.Error("Workers leaked into AbstractKey()")
 	}
-	if AbstractKey(abssem.Options{Summaries: abssem.NewSummaryStore(0)}) != AbstractKey(abssem.Options{}) {
-		t.Error("Summaries leaked into AbstractKey() — the summary layer is execution-only by contract")
-	}
 }

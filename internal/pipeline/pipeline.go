@@ -37,9 +37,10 @@
 // TestKeyGolden pins the exact strings; a failing golden test means a
 // breaking cache-key change, not a test to update casually.
 //
-// For incremental re-analysis of edited program versions, Incremental
-// (see incremental.go) wraps the abstract engine's summary store with a
-// whole-program fast path; core.Analyzer.AnalyzeEdit builds on it.
+// For re-analysis of edited program versions, Incremental (see
+// incremental.go) wraps the abstract engine with a whole-program fast
+// path keyed on the canonical program hash; core.Analyzer.AnalyzeEdit
+// builds on it.
 package pipeline
 
 import (

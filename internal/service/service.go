@@ -13,29 +13,26 @@
 //     change results, so they are not part of a request.
 //
 //   - Coalescing and caching by result identity. Two requests with the
-//     same program hash and the same result-relevant options must
-//     produce bit-identical results, so an in-flight run is shared by
+//     same program identity and the same result-relevant options must
+//     produce bit-identical responses, so an in-flight run is shared by
 //     every identical request that arrives before it completes (one
 //     engine run, N responses), and completed results are cached by the
-//     same key. A request detaching (client disconnect) decrements the
-//     flight's reference count; when the last requester detaches, the
-//     run's context is cancelled and the work stops at the engine's
-//     next merge boundary.
+//     same key. An abstract request's program identity is its canonical
+//     hash (lang.HashProgram; the named mode under clan folding, the
+//     α-renamed one otherwise): an abstract response renders only
+//     counts, may_error, and that hash, so every α-equivalent
+//     resubmission — a local rename, a reformat, a label edit — is served
+//     from the cache, whichever client sent it. An explore request's
+//     identity is the sha256 of its program text, because its outcomes
+//     carry source positions no canonical hash covers. A request
+//     detaching (client disconnect) decrements the flight's reference
+//     count; when the last requester detaches, the run's context is
+//     cancelled and the work stops at the engine's next merge boundary.
 //
 //   - Cancellation is truncation. A cancelled run returns the engines'
 //     coherent partial result (Cancelled set, same cut shape as the
 //     MaxConfigs/MaxStates truncation). Because the cut point is
 //     timing-dependent, cancelled results never enter the cache.
-//
-//   - Edits reuse summaries. An abstract request carrying a `base`
-//     program hash (the ProgramHash of a previously analyzed version)
-//     runs through a per-options incremental session
-//     (pipeline.Incremental): unchanged procedures are served from the
-//     session's summary store, and an α-equivalent resubmission skips
-//     the fixpoint entirely. The incremental layer's bit-identity
-//     contract means the response — summary text and engine counters
-//     alike — is indistinguishable from a cold run's, so the
-//     coalescing/cache key ignores base.
 //
 // The completed-result cache is bounded (Config.CacheMax) with
 // least-recently-used eviction; evictions are counted in Stats.
@@ -71,13 +68,10 @@ type Request struct {
 	// configuration (workers, scheduler) is server-side.
 	Options Options `json:"options,omitempty"`
 	// Base is the ProgramHash of a previously analyzed version this
-	// program is an edit of. Setting it routes an abstract run through
-	// the service's incremental session for these options, reusing the
-	// procedure summaries that survive the edit (and the whole previous
-	// result when the edit is α-neutral). Purely an optimization hint:
-	// the response is bit-identical with or without it, and a stale or
-	// unknown hash merely warms up from whatever the session still
-	// holds. Ignored for explore runs.
+	// program is an edit of. It is accepted and ignored: the result
+	// cache already serves any α-equivalent abstract submission, and an
+	// edit that changes the canonical hash runs from scratch. Only
+	// Stats.IncrementalRuns counts it.
 	Base string `json:"base,omitempty"`
 }
 
@@ -125,15 +119,11 @@ type Response struct {
 	// the result was not cached.
 	Cancelled bool     `json:"cancelled,omitempty"`
 	Outcomes  []string `json:"outcomes,omitempty"`
-	// ProgramHash identifies the analyzed program version under the
-	// options' hash mode (the named body hash under clan folding, the
-	// α-renamed one otherwise); pass it back as Request.Base when
-	// submitting an edit of this program.
+	// ProgramHash identifies the analyzed program version: for abstract
+	// runs under the options' hash mode (the named hash under clan
+	// folding, the α-renamed one otherwise), for explore runs the
+	// α-renamed hash.
 	ProgramHash string `json:"program_hash,omitempty"`
-	// Incremental marks an abstract run that went through the service's
-	// incremental session (Request.Base was set), so its expansions
-	// could hit the session's summary store.
-	Incremental bool `json:"incremental,omitempty"`
 	// Coalesced marks a response served by attaching to another
 	// request's in-flight run; Cached one served from the completed-
 	// result cache. Per-request bookkeeping, not part of the result.
@@ -153,8 +143,8 @@ type Stats struct {
 	// CacheEvictions counts completed results dropped from the bounded
 	// result cache (least recently used first, see Config.CacheMax).
 	CacheEvictions int64 `json:"cache_evictions"`
-	// IncrementalRuns counts abstract runs routed through an incremental
-	// session because the request carried a base program hash.
+	// IncrementalRuns counts abstract runs whose request carried a base
+	// program hash (which the service otherwise ignores).
 	IncrementalRuns int64 `json:"incremental_runs"`
 	Inflight        int   `json:"inflight"`
 }
@@ -192,8 +182,6 @@ type Service struct {
 	// most recently used entry; inserts past cfg.CacheMax evict the back.
 	cache    map[string]*list.Element
 	lru      *list.List // of *cacheEntry
-	incs     map[string]*incSession
-	incOrder []string // incremental sessions, least recently used first
 	stats    Stats
 	counters map[string]int64 // engine counters aggregated across runs
 	closed   bool
@@ -204,18 +192,6 @@ type cacheEntry struct {
 	key string
 	out *outcome
 }
-
-// incSession is one per-options incremental analysis session. The inner
-// pipeline.Incremental serializes its own calls, so concurrent flights
-// over the same options share it safely.
-type incSession struct {
-	inc *pipeline.Incremental
-}
-
-// maxIncSessions bounds the distinct options keys with live incremental
-// sessions; the least recently used session (and its summary store) is
-// dropped past the bound.
-const maxIncSessions = 8
 
 // flight is one in-flight engine run shared by every coalesced request.
 type flight struct {
@@ -249,7 +225,6 @@ func New(cfg Config) *Service {
 		flights:  map[string]*flight{},
 		cache:    map[string]*list.Element{},
 		lru:      list.New(),
-		incs:     map[string]*incSession{},
 		counters: map[string]int64{},
 	}
 }
@@ -344,9 +319,9 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, Response{Error: "decode request: " + err.Error()})
 		return
 	}
-	key, err := requestKey(&req)
+	key, prog, err := requestKey(&req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, Response{Analysis: req.Analysis, Error: err.Error()})
 		return
 	}
 
@@ -376,7 +351,10 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		f = &flight{done: make(chan struct{}), cancel: cancel, refs: 1}
 		s.flights[key] = f
 		s.stats.Runs++
-		go s.run(ctx, key, f, req)
+		if req.Analysis == "abstract" && req.Base != "" {
+			s.stats.IncrementalRuns++
+		}
+		go s.run(ctx, key, f, req, prog)
 	}
 	s.mu.Unlock()
 
@@ -399,32 +377,39 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, f.out.status, resp)
 }
 
-// requestKey is the coalescing/cache key: program content hash plus
-// every result-relevant option — precisely the identity under which the
-// engines guarantee bit-identical results. Request.Base is deliberately
-// excluded: the incremental path is bit-identical to the cold one, so
-// base cannot change what a request computes.
-func requestKey(req *Request) (string, error) {
+// requestKey validates the request and returns its coalescing/cache
+// key: the program's identity plus every result-relevant option — the
+// identity under which every response field is bit-identical. For an
+// abstract request the program identity is its canonical hash in the
+// options' mode, so requestKey parses the program and returns it for
+// the run (a parse error is the request's error); an explore request is
+// keyed on the sha256 of its text and parsed by its run. Request.Base is
+// not part of the key.
+func requestKey(req *Request) (string, *lang.Program, error) {
 	switch req.Analysis {
 	case "", "explore":
 		req.Analysis = "explore"
 	case "abstract":
 	default:
-		return "", fmt.Errorf("unknown analysis %q (explore|abstract)", req.Analysis)
+		return "", nil, fmt.Errorf("unknown analysis %q (explore|abstract)", req.Analysis)
 	}
 	if _, ok := parseReduction(req.Options.Reduction); !ok {
-		return "", fmt.Errorf("unknown reduction %q (full|stubborn)", req.Options.Reduction)
+		return "", nil, fmt.Errorf("unknown reduction %q (full|stubborn)", req.Options.Reduction)
 	}
-	if req.Analysis == "abstract" && req.Options.Domain != "" && absdom.DomainByName(req.Options.Domain) == nil {
-		return "", fmt.Errorf("unknown domain %q (const|sign|interval)", req.Options.Domain)
+	if req.Analysis == "explore" {
+		return fmt.Sprintf("%x|%s", sha256.Sum256([]byte(req.Program)), optionsKey(req)), nil, nil
 	}
-	h := sha256.Sum256([]byte(req.Program))
-	return fmt.Sprintf("%x|%s", h, optionsKey(req)), nil
+	if req.Options.Domain != "" && absdom.DomainByName(req.Options.Domain) == nil {
+		return "", nil, fmt.Errorf("unknown domain %q (const|sign|interval)", req.Options.Domain)
+	}
+	prog, err := lang.Parse(req.Program)
+	if err != nil {
+		return "", nil, err
+	}
+	return lang.HashProgram(prog).ProgramHash(req.Options.ClanFold) + "|" + optionsKey(req), prog, nil
 }
 
-// optionsKey is the program-independent part of requestKey — also the
-// identity under which incremental sessions are shared (two requests
-// with the same optionsKey may reuse each other's procedure summaries).
+// optionsKey is the program-independent part of requestKey.
 func optionsKey(req *Request) string {
 	o := req.Options
 	return fmt.Sprintf("%s|red=%s coarsen=%t max=%d exact=%t dom=%s clan=%t outcomes=%t",
@@ -445,8 +430,8 @@ func parseReduction(s string) (explore.Reduction, bool) {
 // the lock the flight retires, cacheable results (completed, never
 // cancelled — a cancelled cut is timing-dependent) enter the cache, and
 // the per-run engine counters fold into the service aggregate.
-func (s *Service) run(ctx context.Context, key string, f *flight, req Request) {
-	out, reg := s.execute(ctx, &req)
+func (s *Service) run(ctx context.Context, key string, f *flight, req Request, prog *lang.Program) {
+	out, reg := s.execute(ctx, &req, prog)
 	s.mu.Lock()
 	f.out = out
 	delete(s.flights, key)
@@ -471,47 +456,19 @@ func (s *Service) run(ctx context.Context, key string, f *flight, req Request) {
 	close(f.done)
 }
 
-// incremental returns the live incremental session for an options key,
-// creating it (and evicting the least recently used session past
-// maxIncSessions) as needed. Returns nil when the service is closed —
-// the caller then falls back to a one-shot run, which the closed base
-// context cancels the usual way.
-func (s *Service) incremental(key string, adjust func(*abssem.Options)) *pipeline.Incremental {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.stats.IncrementalRuns++
-	if ses, ok := s.incs[key]; ok {
-		for i, k := range s.incOrder {
-			if k == key {
-				s.incOrder = append(append(s.incOrder[:i:i], s.incOrder[i+1:]...), key)
-				break
-			}
-		}
-		return ses.inc
-	}
-	if len(s.incs) >= maxIncSessions {
-		oldest := s.incOrder[0]
-		s.incOrder = s.incOrder[1:]
-		delete(s.incs, oldest)
-	}
-	ses := &incSession{inc: pipeline.NewIncremental(pipeline.RunOptions{}, adjust)}
-	s.incs[key] = ses
-	s.incOrder = append(s.incOrder, key)
-	return ses.inc
-}
-
 // execute runs the request's engine under ctx on the shared pool, with
 // a private metrics registry (level bookkeeping is single-run state).
-func (s *Service) execute(ctx context.Context, req *Request) (*outcome, *metrics.Registry) {
-	prog, err := lang.Parse(req.Program)
-	if err != nil {
-		return &outcome{
-			resp:   Response{Analysis: req.Analysis, Error: err.Error()},
-			status: http.StatusBadRequest,
-		}, nil
+// prog is the program requestKey parsed (abstract requests) or nil
+// (explore requests, parsed here).
+func (s *Service) execute(ctx context.Context, req *Request, prog *lang.Program) (*outcome, *metrics.Registry) {
+	if prog == nil {
+		var err error
+		if prog, err = lang.Parse(req.Program); err != nil {
+			return &outcome{
+				resp:   Response{Analysis: req.Analysis, Error: err.Error()},
+				status: http.StatusBadRequest,
+			}, nil
+		}
 	}
 	red, _ := parseReduction(req.Options.Reduction)
 	reg := metrics.New()
@@ -533,21 +490,9 @@ func (s *Service) execute(ctx context.Context, req *Request) (*outcome, *metrics
 			}
 			ao.ClanFold = req.Options.ClanFold
 		}
-		// The hash mode must match the incremental layer's: clan folding
-		// reads local names, so only the named hash identifies "same
-		// analysis input" under it.
-		hash := lang.HashProgram(prog).ProgramHash(req.Options.ClanFold)
-		var res *abssem.Result
-		incremental := false
-		if req.Base != "" {
-			if inc := s.incremental(optionsKey(req), adjust); inc != nil {
-				res = inc.Configure(ro).AnalyzeEditContext(ctx, prog)
-				incremental = true
-			}
-		}
-		if res == nil {
-			res = pipeline.AnalyzeContext(ctx, prog, ro, adjust)
-		}
+		res := pipeline.AnalyzeContext(ctx, prog, ro, adjust)
+		// The hash in requestKey's mode: clan folding reads local names,
+		// so only the named hash identifies "same analysis input" under it.
 		return &outcome{
 			resp: Response{
 				Analysis:    "abstract",
@@ -558,8 +503,7 @@ func (s *Service) execute(ctx context.Context, req *Request) (*outcome, *metrics
 				MayError:    res.MayError,
 				Truncated:   res.Truncated,
 				Cancelled:   res.Cancelled,
-				ProgramHash: hash,
-				Incremental: incremental,
+				ProgramHash: lang.HashProgram(prog).ProgramHash(req.Options.ClanFold),
 			},
 			status: http.StatusOK,
 		}, reg

@@ -201,115 +201,139 @@ func TestResultCacheEviction(t *testing.T) {
 	}
 }
 
-// Program versions for the incremental (base-hash) request flow: v2
-// α-renames a parameter of v1, v3 edits bump's body, v4 α-renames v3.
+// Program versions for the canonical-hash keying test: svcAlphaB
+// α-renames svcAlphaA's parameter and main's local; svcAlphaC renames
+// only main's local (α-neutral, but not name-neutral under clan
+// folding).
 const (
-	svcIncV1 = `
+	svcAlphaA = `
 var g; var h;
 func bump(x) { g = g + x; }
-func poke() { h = h + 1; }
 func main() {
-  cobegin { bump(1); } || { poke(); } coend
+  var k = 1;
+  cobegin { bump(k); } || { var j = 2; h = h + j; } || { var j = 2; h = h + j; } coend
   g = g + h;
 }
 `
-	svcIncV2 = `
+	svcAlphaB = `
 var g; var h;
 func bump(y) { g = g + y; }
-func poke() { h = h + 1; }
 func main() {
-  cobegin { bump(1); } || { poke(); } coend
+  var n = 1;
+  cobegin { bump(n); } || { var j = 2; h = h + j; } || { var j = 2; h = h + j; } coend
   g = g + h;
 }
 `
-	svcIncV3 = `
+	svcAlphaC = `
 var g; var h;
-func bump(y) { g = g + y + 1; }
-func poke() { h = h + 1; }
+func bump(x) { g = g + x; }
 func main() {
-  cobegin { bump(1); } || { poke(); } coend
+  var k = 1;
+  cobegin { bump(k); } || { var j = 2; h = h + j; } || { var i = 2; h = h + i; } coend
   g = g + h;
 }
 `
-	svcIncV4 = `
-var g; var h;
-func bump(z) { g = g + z + 1; }
-func poke() { h = h + 1; }
-func main() {
-  cobegin { bump(1); } || { poke(); } coend
-  g = g + h;
-}
-`
+	// svcRaceA and svcRaceB are one racy program on different lines:
+	// its failing assertion's outcome names the source position.
+	svcRaceA = "var g;\nfunc main() {\n  cobegin { g = 1; } || { g = 2; } coend\n  assert g == 1;\n}\n"
+	svcRaceB = "var g; func main() { cobegin { g = 1; } || { g = 2; } coend assert g == 1; }"
 )
 
-// An abstract request carrying the previous version's program_hash runs
-// through the incremental session: responses stay bit-identical to
-// direct scratch runs while the summary counters in /metrics show the
-// reuse (hits on untouched procedures, invalidations on edited ones,
-// whole-result reuse on α-neutral resubmissions).
-func TestIncrementalBaseRequests(t *testing.T) {
+// The result cache keys an abstract request on its canonical program
+// hash (plus options) and an explore request on its program text: an
+// α-equivalent abstract resubmission from any client hits, base is
+// ignored, clan folding switches to the name-sensitive hash, and a
+// reformatted explore program keeps its own positions.
+func TestCanonicalHashKeying(t *testing.T) {
 	svc, ts := newSvc(t, 0, sched.Leveled)
-
-	scratch := func(src string) string {
-		return abssem.Analyze(lang.MustParse(src), abssem.Options{}).String()
-	}
-	counters := func() map[string]int64 {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
+	abstract := func(src string, o Options, base string) Response {
+		t.Helper()
+		code, out := post(t, ts.URL, Request{Program: src, Analysis: "abstract", Options: o, Base: base})
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %+v", code, out)
 		}
-		defer resp.Body.Close()
-		var body metricsBody
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
+		return out
+	}
+	scratch := func(src string, clan bool) string {
+		return abssem.Analyze(lang.MustParse(src), abssem.Options{ClanFold: clan}).String()
+	}
+
+	// An α-renamed program sent without base is served from the cache
+	// and its summary equals a scratch run of it.
+	a := abstract(svcAlphaA, Options{}, "")
+	if a.Cached || a.ProgramHash == "" {
+		t.Fatalf("first submission: %+v", a)
+	}
+	b := abstract(svcAlphaB, Options{}, "")
+	if !b.Cached {
+		t.Fatal("α-renamed resubmission missed the cache")
+	}
+	if b.Summary != scratch(svcAlphaB, false) || b.ProgramHash != a.ProgramHash {
+		t.Fatalf("cached α-renamed response %+v diverged from scratch %q", b, scratch(svcAlphaB, false))
+	}
+
+	// An unknown base is accepted and ignored.
+	if c := abstract(svcAlphaC, Options{}, "no-such-hash"); !c.Cached || c.Summary != scratch(svcAlphaC, false) {
+		t.Fatalf("request with unknown base: %+v", c)
+	}
+
+	// Under clan folding the named hash applies: a local rename misses.
+	fa := abstract(svcAlphaA, Options{ClanFold: true}, "")
+	fc := abstract(svcAlphaC, Options{ClanFold: true}, fa.ProgramHash)
+	if fa.Cached || fc.Cached || fa.ProgramHash == fc.ProgramHash {
+		t.Fatalf("clan_fold local rename hit the cache: %+v / %+v", fa, fc)
+	}
+	if fc.Summary != scratch(svcAlphaC, true) {
+		t.Fatalf("clan_fold summary %q != scratch %q", fc.Summary, scratch(svcAlphaC, true))
+	}
+
+	// A reformatted explore program gets its own entry, and its error
+	// outcomes carry its own positions.
+	explore := func(src string) Response {
+		t.Helper()
+		_, out := post(t, ts.URL, Request{Program: src, Options: Options{Outcomes: true}})
+		return out
+	}
+	ra, rb := explore(svcRaceA), explore(svcRaceB)
+	if rb.Cached {
+		t.Fatal("reformatted explore program hit the other layout's entry")
+	}
+	errs := func(r Response) string {
+		var out []string
+		for _, o := range r.Outcomes {
+			if strings.HasPrefix(o, "ERR:") {
+				out = append(out, o)
+			}
 		}
-		return body.Counters
+		return strings.Join(out, "\n")
+	}
+	// The assertion sits on line 4 of svcRaceA and line 1 of svcRaceB.
+	if !strings.HasPrefix(errs(ra), "ERR:4:") || !strings.HasPrefix(errs(rb), "ERR:1:") {
+		t.Fatalf("explore error outcomes should carry their own positions:\n%s\nvs\n%s", errs(ra), errs(rb))
+	}
+	if again := explore(svcRaceB); !again.Cached || errs(again) != errs(rb) {
+		t.Fatalf("explore resubmission: %+v", again)
 	}
 
-	_, v1 := post(t, ts.URL, Request{Program: svcIncV1, Analysis: "abstract"})
-	if v1.ProgramHash == "" {
-		t.Fatalf("abstract response carries no program hash: %+v", v1)
+	// A malformed abstract program is a 400 carrying the parse error, and
+	// no run is counted.
+	before := svc.Stats()
+	code, bad := post(t, ts.URL, Request{Program: "func main( {", Analysis: "abstract", Base: a.ProgramHash})
+	if code != http.StatusBadRequest || bad.Error == "" {
+		t.Fatalf("malformed abstract program: status %d %+v", code, bad)
 	}
-	if v1.Incremental {
-		t.Fatal("base-less request flagged incremental")
-	}
-
-	// v2 (α-rename) opens the session; its run is the session's baseline.
-	_, v2 := post(t, ts.URL, Request{Program: svcIncV2, Analysis: "abstract", Base: v1.ProgramHash})
-	if !v2.Incremental {
-		t.Fatalf("based request not routed through the incremental session: %+v", v2)
-	}
-	if v2.Summary != scratch(svcIncV2) {
-		t.Fatalf("incremental v2 summary diverged from scratch:\n%s\nvs\n%s", v2.Summary, scratch(svcIncV2))
-	}
-
-	// v3 edits bump only: the session re-runs warm, hitting summaries for
-	// everything the edit left alone and dropping the stale ones.
-	_, v3 := post(t, ts.URL, Request{Program: svcIncV3, Analysis: "abstract", Base: v2.ProgramHash})
-	if v3.Summary != scratch(svcIncV3) {
-		t.Fatalf("incremental v3 summary diverged from scratch")
-	}
-	c := counters()
-	if c["summary_hit"] == 0 {
-		t.Fatalf("edited re-analysis had no summary hits: %v", c)
-	}
-	if c["summary_invalidated"] == 0 {
-		t.Fatalf("editing bump invalidated no summaries: %v", c)
-	}
-
-	// v4 α-renames v3: same program hash, so the whole previous result is
-	// reused without re-running the fixpoint.
-	_, v4 := post(t, ts.URL, Request{Program: svcIncV4, Analysis: "abstract", Base: v3.ProgramHash})
-	if v4.Summary != scratch(svcIncV4) {
-		t.Fatalf("incremental v4 summary diverged from scratch")
-	}
-	if c := counters(); c["analysis_cache_hit"] == 0 {
-		t.Fatalf("α-neutral resubmission did not take the whole-program fast path: %v", c)
+	if _, err := lang.Parse("func main( {"); err == nil || bad.Error != err.Error() {
+		t.Fatalf("malformed abstract program: error %q, want the parse error %v", bad.Error, err)
 	}
 
 	st := svc.Stats()
-	if st.IncrementalRuns != 3 {
-		t.Fatalf("stats: %+v, want 3 incremental runs", st)
+	if st.Runs != before.Runs || st.IncrementalRuns != before.IncrementalRuns {
+		t.Fatalf("stats %+v after malformed request (before %+v)", st, before)
+	}
+	// Runs: A, A and C under clan folding, both explore layouts. Only the
+	// clan-fold C run carried a base.
+	if st.Runs != 5 || st.CacheHits != 3 || st.IncrementalRuns != 1 {
+		t.Fatalf("stats: %+v, want 5 runs / 3 cache hits / 1 incremental run", st)
 	}
 }
 
