@@ -38,7 +38,7 @@ bench:
 # against BASE (default origin/main) and print the benchstat delta.
 # Requires benchstat (go install golang.org/x/perf/cmd/benchstat@latest).
 BASE ?= origin/main
-BENCH_PAT ?= BenchmarkPhilosophers|BenchmarkEncode|BenchmarkParallelExploration|BenchmarkAbstract|BenchmarkSchedRounds|BenchmarkSchedDep|BenchmarkIncrementalReanalysis
+BENCH_PAT ?= BenchmarkPhilosophers|BenchmarkEncode|BenchmarkParallelExploration|BenchmarkAbstract|BenchmarkSchedRounds|BenchmarkIncrementalReanalysis
 benchcmp:
 	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -count=6 . > /tmp/bench-head.txt
 	@tmp=$$(mktemp -d); \
@@ -76,7 +76,7 @@ race:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 	$(GO) run ./cmd/paperbench -small -json paperbench.json
-	$(GO) run ./cmd/paperbench -small -workers 4 -sched dep
+	$(GO) run ./cmd/paperbench -small -workers 4
 
 # Short native-fuzzing pass over the parser targets — enough to catch
 # regressions in the grammar's panic-freedom and round-trip property
@@ -99,9 +99,8 @@ soak-smoke:
 
 # Fixed-seed edit-sequence soak smoke — the CI soak-edits job: oracle 5
 # drives random 3-edit chains (progen.Mutate) through persistent
-# incremental sessions at 0/1/4 workers under both schedulers (each
-# reuses the previous result when an edit leaves the canonical program
-# hash unchanged) and requires bit-identical results and deterministic
+# incremental sessions at 0/2/4 workers (each reuses the previous
+# result when an edit leaves the canonical program hash unchanged) and requires bit-identical results and deterministic
 # counters against from-scratch analysis of every version, under the
 # race detector.
 EDITS_N ?= 200

@@ -9,7 +9,6 @@ package psa
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"strings"
 
@@ -283,29 +282,20 @@ func BenchmarkAbstractInterpret(b *testing.B) {
 
 // BenchmarkAbstractParallel measures the parallel abstract fixpoint
 // engine against the sequential worklist on the heaviest abstract
-// reference workload, under both schedulers (workers-n1 dispatches to
-// the classic sequential loop, so it IS the pre-PR baseline; higher
-// counts run the leveled round-structured engine, and the dep-nN
-// variants run the dependency-driven pipeline — at one worker a genuine
-// two-goroutine pipeline, not a sequential alias). Results are
-// bit-identical at every worker count under either scheduler, so
-// benchstat comparisons isolate pure scheduling cost/benefit.
+// reference workload (workers-n1 dispatches to the classic sequential
+// loop, so it IS the baseline; higher counts run the leveled
+// round-structured engine). Results are bit-identical at every worker
+// count, so benchstat comparisons isolate pure scheduling cost/benefit.
 func BenchmarkAbstractParallel(b *testing.B) {
 	prog := workloads.Philosophers(5)
-	for _, sc := range []sched.Scheduler{sched.Leveled, sched.DepDriven} {
-		prefix := "workers"
-		if sc == sched.DepDriven {
-			prefix = "dep"
-		}
-		for _, workers := range []int{1, 2, 4, 8, 16} {
-			b.Run(benchName(prefix, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := abssem.Analyze(prog, abssem.Options{
-						Domain: absdom.IntervalDomain{}, Workers: workers, Sched: sc})
-					b.ReportMetric(float64(res.States), "states")
-				}
-			})
-		}
+	for _, workers := range []int{1, 2, 4, 8, 16} {
+		b.Run(benchName("workers", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res := abssem.Analyze(prog, abssem.Options{
+					Domain: absdom.IntervalDomain{}, Workers: workers})
+				b.ReportMetric(float64(res.States), "states")
+			}
+		})
 	}
 }
 
@@ -559,89 +549,17 @@ func BenchmarkSchedRounds(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExploration sweeps the concrete explorer over both
-// parallel schedulers and worker counts (workers-nN is the leveled
-// fan-out/serial-merge engine, with n1 the sequential baseline; dep-nN
-// is the dependency-driven pipeline).
+// BenchmarkParallelExploration sweeps the concrete explorer over worker
+// counts (workers-nN is the leveled fan-out/serial-merge engine, with n1
+// the sequential baseline).
 func BenchmarkParallelExploration(b *testing.B) {
 	prog := workloads.Philosophers(5)
-	for _, sc := range []sched.Scheduler{sched.Leveled, sched.DepDriven} {
-		prefix := "workers"
-		if sc == sched.DepDriven {
-			prefix = "dep"
-		}
-		for _, workers := range []int{1, 2, 4, 8, 16} {
-			b.Run(benchName(prefix, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := explore.Explore(prog, explore.Options{
-						Reduction: explore.Full, Workers: workers, Sched: sc, MaxConfigs: 1 << 22})
-					b.ReportMetric(float64(res.States), "states")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkSchedDep prices the level barrier the dependency-driven
-// executor removes, in isolation from the engines. The workload is a
-// fixed task graph of width independent chains of depth links; one link
-// per level is a straggler (a sleep, so the overlap is visible even on
-// a single-CPU runner) and the rest are free. Straggler positions
-// descend across levels, so each level's straggler is published — and
-// starts sleeping — before the merge chain stalls on the previous
-// level's: the dependency-driven executor overlaps all of them and
-// pays roughly one straggler total, while the leveled executor's
-// barrier pays one per level.
-func BenchmarkSchedDep(b *testing.B) {
-	const (
-		width    = 16
-		depth    = 4
-		straggle = 4 * time.Millisecond
-	)
-	type task struct{ chain, level int }
-	delay := func(t task) time.Duration {
-		if t.chain == (width-1-3*t.level)%width {
-			return straggle
-		}
-		return 0
-	}
-	for _, workers := range []int{4, 8} {
-		b.Run(fmt.Sprintf("leveled-w%d", workers), func(b *testing.B) {
-			pool := sched.ForWorkers(workers)
-			defer pool.Close()
-			rounds := sched.NewRounds[struct{}](pool, sched.Hooks{})
-			b.ResetTimer()
+	for _, workers := range []int{1, 2, 4, 8, 16} {
+		b.Run(benchName("workers", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				level := make([]task, width)
-				for c := range level {
-					level[c] = task{chain: c}
-				}
-				for l := 0; l < depth; l++ {
-					rounds.Do(width,
-						func(j int, _ *struct{}) { time.Sleep(delay(level[j])) },
-						func(j int, _ *struct{}) bool { level[j].level++; return true })
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("dep-w%d", workers), func(b *testing.B) {
-			pool := sched.ForWorkers(workers)
-			defer pool.Close()
-			dep := sched.NewDepRounds[task, struct{}](pool, sched.DepHooks{})
-			seeds := make([]task, width)
-			for c := range seeds {
-				seeds[c] = task{chain: c}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dep.Run(seeds,
-					func(j int, p *task, _ *struct{}) { time.Sleep(delay(*p)) },
-					nil,
-					func(j int, p *task, _ *struct{}, emit func(task)) bool {
-						if p.level+1 < depth {
-							emit(task{chain: p.chain, level: p.level + 1})
-						}
-						return true
-					})
+				res := explore.Explore(prog, explore.Options{
+					Reduction: explore.Full, Workers: workers, MaxConfigs: 1 << 22})
+				b.ReportMetric(float64(res.States), "states")
 			}
 		})
 	}

@@ -8,7 +8,6 @@
 //
 //	  -addr :8723     listen address
 //	  -workers N      worker goroutines per run (0/1 sequential, <0 GOMAXPROCS)
-//	  -sched leveled  parallel scheduler: leveled or dep
 //	  -drain 10s      graceful-shutdown drain budget
 //	  -max-body N     request body cap in bytes
 //	  -cache-max N    completed-result cache bound (LRU; <0 unbounded)
@@ -26,9 +25,9 @@
 // abstract requests "same program" means the same canonical program
 // hash (the response's program_hash): an α-renamed, relabelled, or
 // reformatted resubmission is served from the cache. Explore requests
-// are keyed on their exact text. Worker count and scheduler are
-// server-side configuration: by the engines' determinism contract they
-// never change results, so responses are bit-identical to cmd/psa's
+// are keyed on their exact text. The worker count is server-side
+// configuration: by the engines' determinism contract it never changes
+// results, so responses are bit-identical to cmd/psa's
 // summaries for the same program and options at any -workers setting.
 //
 // The request field "base" (the program_hash of a previous version) is
@@ -54,7 +53,6 @@ import (
 	"syscall"
 	"time"
 
-	"psa/internal/sched"
 	"psa/internal/service"
 )
 
@@ -68,7 +66,6 @@ func run() int {
 	var (
 		addr     = flag.String("addr", ":8723", "listen address")
 		workers  = flag.Int("workers", 0, "worker goroutines per analysis run (0/1 sequential, <0 GOMAXPROCS); results are identical at any count")
-		schedMd  = flag.String("sched", "leveled", "parallel scheduler: leveled or dep; results are identical in either mode")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget before in-flight runs are cancelled")
 		maxBody  = flag.Int64("max-body", 1<<20, "request body cap in bytes")
 		cacheMax = flag.Int("cache-max", 1024, "max completed results cached (LRU eviction; negative = unbounded)")
@@ -79,13 +76,7 @@ func run() int {
 		flag.PrintDefaults()
 		return 2
 	}
-	schedSel, ok := sched.ParseScheduler(*schedMd)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scheduler %q (leveled|dep)\n", *schedMd)
-		return 2
-	}
-
-	svc := service.New(service.Config{Workers: *workers, Sched: schedSel, MaxBody: *maxBody, CacheMax: *cacheMax})
+	svc := service.New(service.Config{Workers: *workers, MaxBody: *maxBody, CacheMax: *cacheMax})
 	defer svc.Close()
 
 	// Listen before forking the serve goroutine so the real bound
@@ -102,7 +93,7 @@ func run() int {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "psad: listening on %s (workers=%d sched=%s)\n", ln.Addr(), *workers, schedSel)
+	fmt.Fprintf(os.Stderr, "psad: listening on %s (workers=%d)\n", ln.Addr(), *workers)
 
 	select {
 	case err := <-errc:

@@ -225,7 +225,7 @@ func TestPsadUsageErrors(t *testing.T) {
 	bin := buildPsad(t, t.TempDir())
 	for _, args := range [][]string{
 		{"stray-arg"},
-		{"-sched", "nope"},
+		{"-no-such-flag"},
 	} {
 		err := exec.Command(bin, args...).Run()
 		ee, ok := err.(*exec.ExitError)

@@ -25,13 +25,10 @@
 // explorer; joins, widening decisions, and worklist order in the
 // abstract interpreter — so every result and every deterministic
 // metric is bit-identical at any worker count (differential tests pin
-// this under the race detector). Two scheduling protocols share that
-// contract: leveled fan-out/serial-merge rounds (the default), and a
-// dependency-driven pipeline (Options.Sched = sched.DepDriven, CLI
-// flag -sched dep) that merges each task as soon as its predecessors
-// in sequential discovery order have merged — no level barrier, same
-// bit-identical results. Both engines accept a context
-// (explore.ExploreContext, abssem.AnalyzeContext, or
+// this under the race detector). Both engines run that contract as one
+// protocol, leveled fan-out/serial-merge rounds (sched.Rounds), and
+// keep their sequential loops as the reference. Both engines accept a
+// context (explore.ExploreContext, abssem.AnalyzeContext, or
 // core.Analyzer.WithContext): cancellation stops the run at its next
 // merge boundary and returns a coherent partial result flagged
 // Cancelled — the same cut shape as MaxConfigs/MaxStates truncation,
@@ -45,8 +42,7 @@
 // pipeline.NewIncremental's AnalyzeEdit does the same for a stream of
 // program versions, replaying the skipped run's deterministic counters.
 // A real edit runs from scratch. Results are bit-identical to a
-// from-scratch run at any worker count under either scheduler
-// (DESIGN.md §13).
+// from-scratch run at any worker count (DESIGN.md §13).
 //
 // The engines are instrumented through internal/metrics, a nil-safe
 // registry of atomic counters, per-level statistics, and phase timings

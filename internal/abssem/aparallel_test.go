@@ -67,13 +67,26 @@ func sameResult(t *testing.T, seq, par *Result) {
 	}
 }
 
-// The parallel abstract fixpoint must reproduce the sequential engine's
-// Result bit-for-bit — including the deterministic metrics counters — at
-// 1, 4, and GOMAXPROCS workers, across domains and workload shapes.
-// (CI runs this under -race; the workers share the step context and the
-// round's state snapshots, so the race detector exercises the "workers
-// only read, merge only writes" discipline.)
-func TestParallelMatchesSequentialAbstract(t *testing.T) {
+// analyzeAt runs the parallel abstract engine at the given worker count.
+// Workers=1 short-circuits to the sequential loop in Analyze, so that
+// count drives analyzeParallel's single-worker inline path directly.
+func analyzeAt(prog *lang.Program, opts Options, workers int) *Result {
+	opts.Workers = workers
+	if workers != 1 {
+		return Analyze(prog, opts)
+	}
+	opts.fill()
+	return analyzeParallel(context.Background(), prog, opts)
+}
+
+// matchesSequentialAbstract requires the parallel abstract fixpoint to
+// reproduce the sequential engine's Result bit-for-bit — including the
+// deterministic metrics counters — at every count in workers, across
+// domains and workload shapes. (CI runs this under -race; the workers
+// share the step context and the round's state snapshots, so the race
+// detector exercises the "workers only read, merge only writes"
+// discipline.)
+func matchesSequentialAbstract(t *testing.T, workers []int) {
 	domains := map[string]absdom.NumDomain{
 		"const":    absdom.ConstDomain{},
 		"interval": absdom.IntervalDomain{},
@@ -92,19 +105,9 @@ func TestParallelMatchesSequentialAbstract(t *testing.T) {
 			t.Run(dname+"/"+pname, func(t *testing.T) {
 				mseq := metrics.New()
 				seq := Analyze(prog, Options{Domain: dom, CollectFootprints: true, Metrics: mseq})
-				for _, workers := range []int{1, 4, -1} {
+				for _, workers := range workers {
 					mpar := metrics.New()
-					opts := Options{Domain: dom, CollectFootprints: true, Metrics: mpar, Workers: workers}
-					var par *Result
-					if workers == 1 {
-						// Workers=1 short-circuits to the sequential loop in
-						// Analyze; drive the parallel engine's single-worker
-						// inline path directly so it is covered too.
-						opts.fill()
-						par = analyzeParallel(context.Background(), prog, opts)
-					} else {
-						par = Analyze(prog, opts)
-					}
+					par := analyzeAt(prog, Options{Domain: dom, CollectFootprints: true, Metrics: mpar}, workers)
 					sameResult(t, seq, par)
 					got := mpar.Snapshot().DeterministicCounters()
 					want := mseq.Snapshot().DeterministicCounters()
@@ -116,6 +119,19 @@ func TestParallelMatchesSequentialAbstract(t *testing.T) {
 			})
 		}
 	}
+}
+
+// The fan-out worker counts the CLIs and psad run: 2 and 4.
+func TestParallelMatchesSequentialAbstract(t *testing.T) {
+	matchesSequentialAbstract(t, []int{2, 4})
+}
+
+// The rest of the sweep: the single-worker inline path and more workers
+// than cores (8, GOMAXPROCS). The name is kept from the dependency-driven
+// executor this test checked before that executor was removed; the
+// leveled executor is held to the same bar.
+func TestDepMatchesSequentialAbstract(t *testing.T) {
+	matchesSequentialAbstract(t, []int{1, 8, -1})
 }
 
 // The whole testdata corpus must analyze identically at any worker count.
@@ -153,17 +169,21 @@ func TestParallelCorpusAbstract(t *testing.T) {
 	}
 }
 
-// Random programs stress join/widen interleavings the hand-written
-// workloads miss — in particular rounds where a join grows a state that
-// was snapshotted earlier in the same round (the stale-recompute path).
-func TestParallelRandomAbstract(t *testing.T) {
+// randomMatches analyzes the first 20 corpus programs in dom,
+// sequentially and at the given worker count, and requires bit-identical
+// results; a run cut at corpusMaxStates must match at the same cut. Random programs stress join/widen interleavings the
+// hand-written workloads miss — in particular rounds where a join grows a
+// state that was snapshotted earlier in the same round (the
+// stale-recompute path).
+func randomMatches(t *testing.T, dom absdom.NumDomain, workers int) {
 	if testing.Short() {
 		t.Skip("random corpus in -short mode")
 	}
 	for seed := int64(0); seed < 20; seed++ {
-		prog := workloads.RandomRich(seed)
-		seq := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true})
-		par := Analyze(prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true, Workers: 4})
+		prog := corpus(t, seed)
+		opts := Options{Domain: dom, CollectFootprints: true, MaxStates: corpusMaxStates}
+		seq := Analyze(prog, opts)
+		par := analyzeAt(prog, opts, workers)
 		if t.Failed() {
 			return
 		}
@@ -171,19 +191,38 @@ func TestParallelRandomAbstract(t *testing.T) {
 	}
 }
 
-// Truncated runs must also match: the MaxStates cut happens at the same
-// discovery in both engines, and both report the explored prefix.
-func TestParallelTruncationMatches(t *testing.T) {
-	prog := workloads.Philosophers(3)
+func TestParallelRandomAbstract(t *testing.T) {
+	randomMatches(t, absdom.IntervalDomain{}, 4)
+}
+
+// The same corpus in the constant domain, at two workers.
+func TestDepRandomAbstract(t *testing.T) {
+	randomMatches(t, absdom.ConstDomain{}, 2)
+}
+
+// truncationMatchesAbstract requires truncated runs to match too: the
+// MaxStates cut happens at the same discovery in both engines, and both
+// report the explored prefix — invariants, terminals, footprints —
+// bit-identically.
+func truncationMatchesAbstract(t *testing.T, prog *lang.Program, dom absdom.NumDomain) {
+	t.Helper()
 	for _, max := range []int{5, 17, 60} {
-		opts := Options{Domain: absdom.ConstDomain{}, CollectFootprints: true, MaxStates: max}
+		opts := Options{Domain: dom, CollectFootprints: true, MaxStates: max}
 		seq := Analyze(prog, opts)
 		if !seq.Truncated {
 			t.Fatalf("MaxStates=%d did not truncate", max)
 		}
-		popts := opts
-		popts.Workers = 4
-		par := Analyze(prog, popts)
-		sameResult(t, seq, par)
+		for _, workers := range []int{1, 2, 4} {
+			sameResult(t, seq, analyzeAt(prog, opts, workers))
+		}
 	}
+}
+
+func TestParallelTruncationMatches(t *testing.T) {
+	truncationMatchesAbstract(t, workloads.Philosophers(3), absdom.ConstDomain{})
+}
+
+// The same cut on a producer/consumer loop in the interval domain.
+func TestDepTruncationMatchesAbstract(t *testing.T) {
+	truncationMatchesAbstract(t, workloads.ProducerConsumer(2), absdom.IntervalDomain{})
 }

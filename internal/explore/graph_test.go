@@ -188,7 +188,7 @@ func TestTraceReplayCorpus(t *testing.T) {
 		t.Skip("corpus replay in -short mode")
 	}
 	for seed := int64(0); seed < 20; seed++ {
-		prog := workloads.Random(seed)
+		prog := corpus(t, seed)
 		res := Explore(prog, Options{Reduction: Full, KeepGraph: true, MaxConfigs: 1 << 16})
 		if res.Truncated {
 			continue

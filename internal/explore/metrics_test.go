@@ -3,7 +3,6 @@ package explore
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"psa/internal/lang"
@@ -94,10 +93,10 @@ func TestMetricsMatchResult(t *testing.T) {
 	}
 }
 
-// Enabling metrics must not perturb the parallel explorer: for workers
-// in {1, 4, GOMAXPROCS} the state/terminal/edge counts, the full ordered
-// sink event stream, every worker-independent counter, and the per-level
-// stats must be identical to the sequential explorer's. Run under -race
+// Enabling metrics must not perturb the parallel explorer: at every
+// worker count of the sweep the state/terminal/edge counts, the full
+// ordered sink event stream, every worker-independent counter, and the
+// per-level stats must be identical to the sequential explorer's. Run under -race
 // in CI, this is also the data-race check on the metrics hot path.
 func TestParallelMetricsDeterministic(t *testing.T) {
 	progs := map[string]struct {
@@ -125,14 +124,13 @@ func TestParallelMetricsDeterministic(t *testing.T) {
 			ref := Explore(tc.prog, refOpts)
 			refSnap := refM.Snapshot()
 
-			for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			for _, workers := range sweep {
 				m := metrics.New()
 				sink := &orderedSink{}
 				opts := tc.opts
-				opts.Workers = workers
 				opts.Metrics = m
 				opts.Sink = sink
-				res := Explore(tc.prog, opts)
+				res := exploreAt(sem.NewConfig(tc.prog), opts, workers)
 
 				if res.States != ref.States || res.Edges != ref.Edges || len(res.Terminals) != len(ref.Terminals) {
 					t.Errorf("workers=%d: counts %d/%d/%d differ from sequential %d/%d/%d",

@@ -121,6 +121,12 @@ func exploreParallel(ctx context.Context, c0 *sem.Config, opts Options, workers 
 	// Deterministic sequential merge of one frontier entry's results;
 	// returns false on the MaxConfigs truncation cut.
 	merge1 := func(i int, e *expansion) bool {
+		// The sequential queue holds the level's unmerged entries plus the
+		// next level discovered so far when it pops entry i; tracking that
+		// length here keeps MaxFrontier identical to the sequential run's.
+		if size := len(frontier) - i + len(next); size > res.MaxFrontier {
+			res.MaxFrontier = size
+		}
 		cur := frontier[i]
 		if e.terminal {
 			tk := cur.key
@@ -193,9 +199,6 @@ func exploreParallel(ctx context.Context, c0 *sem.Config, opts Options, workers 
 	}
 
 	for len(frontier) > 0 {
-		if len(frontier) > res.MaxFrontier {
-			res.MaxFrontier = len(frontier)
-		}
 		m.BeginLevel(len(frontier))
 		// next must be a fresh slice each level: the merge appends to it
 		// while later frontier entries are still unread, so it can never

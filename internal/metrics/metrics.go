@@ -94,13 +94,6 @@ const (
 	// hits depend on call order, not on the explored space.
 	AnalysisCacheHit
 	AnalysisCacheMiss
-	// DepMergeWaits counts the times the dependency-driven scheduler's
-	// merger blocked on the head task's expansion (the pipelined
-	// analogue of a level-barrier stall) during concrete exploration;
-	// AbsDepMergeWaits is the abstract engine's counterpart. Both depend
-	// on scheduling and are perf-only.
-	DepMergeWaits
-	AbsDepMergeWaits
 	numCounters
 )
 
@@ -127,8 +120,6 @@ var counterNames = [numCounters]string{
 	PipelineFusedSinks:   "pipeline_fused_sinks",
 	AnalysisCacheHit:     "analysis_cache_hit",
 	AnalysisCacheMiss:    "analysis_cache_miss",
-	DepMergeWaits:        "dep_merge_waits",
-	AbsDepMergeWaits:     "abs_dep_merge_waits",
 }
 
 // PerfOnly reports whether the counter measures implementation effort
@@ -138,8 +129,7 @@ var counterNames = [numCounters]string{
 func (c Counter) PerfOnly() bool {
 	switch c {
 	case EncPoolHit, EncPoolMiss, FrontierSteals, AbsSteals, AbsStaleRecomputes,
-		PipelineFusedSinks, AnalysisCacheHit, AnalysisCacheMiss,
-		DepMergeWaits, AbsDepMergeWaits:
+		PipelineFusedSinks, AnalysisCacheHit, AnalysisCacheMiss:
 		return true
 	}
 	return false
@@ -182,12 +172,6 @@ const (
 	// abstract fixpoint engine expanded in the current round; its peak
 	// over a run is the abstract analogue of MaxFrontier.
 	AbsFrontierWidth
-	// DepReadyDepth / AbsDepReadyDepth record the peak published-but-
-	// unclaimed backlog the dependency-driven scheduler's workers saw
-	// when claiming (concrete / abstract engine). Scheduling-dependent,
-	// like every gauge outside the determinism comparisons.
-	DepReadyDepth
-	AbsDepReadyDepth
 	numGauges
 )
 
@@ -198,8 +182,6 @@ var gaugeNames = [numGauges]string{
 	QueueLen:         "queue_len",
 	VisitedBytes:     "visited_bytes",
 	AbsFrontierWidth: "abs_frontier_width",
-	DepReadyDepth:    "dep_ready_depth",
-	AbsDepReadyDepth: "abs_dep_ready_depth",
 }
 
 // String returns the snake_case snapshot key of the gauge.

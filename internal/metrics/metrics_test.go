@@ -241,7 +241,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 // read, however large they get; deterministic counters must survive.
 func TestPerfOnlyCountersExcludedFromDeterminism(t *testing.T) {
 	perfOnly := []Counter{EncPoolHit, EncPoolMiss, FrontierSteals, AbsSteals, AbsStaleRecomputes,
-		PipelineFusedSinks, AnalysisCacheHit, AnalysisCacheMiss, DepMergeWaits, AbsDepMergeWaits}
+		PipelineFusedSinks, AnalysisCacheHit, AnalysisCacheMiss}
 	deterministic := []Counter{StatesUnique, StatesGenerated, DedupHits, TransitionsFired,
 		TerminalsSeen, ErrorsSeen, CoarsenedSteps, AbsVisits, AbsJoins, AbsWidenings, AbsStates}
 	for _, c := range perfOnly {
@@ -269,8 +269,6 @@ func TestPerfOnlyCountersExcludedFromDeterminism(t *testing.T) {
 	b.Add(AbsStaleRecomputes, 5)
 	b.Add(PipelineFusedSinks, 4)
 	b.Add(AnalysisCacheHit, 9)
-	b.Add(DepMergeWaits, 11)
-	b.Add(AbsDepMergeWaits, 6)
 	got, want := a.Snapshot().DeterministicCounters(), b.Snapshot().DeterministicCounters()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("deterministic counters differ despite identical deterministic traffic:\n  a %v\n  b %v", got, want)
@@ -290,8 +288,6 @@ func TestPerfOnlyCountersExcludedFromDeterminism(t *testing.T) {
 		PipelineFusedSinks: "pipeline_fused_sinks",
 		AnalysisCacheHit:   "analysis_cache_hit",
 		AnalysisCacheMiss:  "analysis_cache_miss",
-		DepMergeWaits:      "dep_merge_waits",
-		AbsDepMergeWaits:   "abs_dep_merge_waits",
 	}
 	for c, want := range names {
 		if c.String() != want {

@@ -7,7 +7,6 @@ import (
 	"psa/internal/abssem"
 	"psa/internal/lang"
 	"psa/internal/metrics"
-	"psa/internal/sched"
 )
 
 const incBase = `
@@ -95,8 +94,8 @@ func TestIncrementalBitIdentical(t *testing.T) {
 		ro   RunOptions
 	}{
 		{"seq", RunOptions{}},
+		{"leveled2", RunOptions{Workers: 2}},
 		{"leveled4", RunOptions{Workers: 4}},
-		{"dep4", RunOptions{Workers: 4, Sched: sched.DepDriven}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inc := NewIncremental(tc.ro, nil)

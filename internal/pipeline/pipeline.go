@@ -21,9 +21,8 @@
 //
 // RunOptions.Key and AbstractKey give the canonical cache keys the
 // core.Analyzer result caches use: they cover exactly the fields that can
-// change results and exclude the execution-only fields (Workers, Sched,
-// Pool, Metrics) that the engines' determinism contract guarantees never
-// do.
+// change results and exclude the execution-only fields (Workers, Pool,
+// Metrics) that the engines' determinism contract guarantees never do.
 //
 // # Key stability contract
 //
@@ -75,14 +74,6 @@ type RunOptions struct {
 	// sequential and a negative count uses GOMAXPROCS. Results and
 	// deterministic counters are identical at any count.
 	Workers int
-	// Sched selects the parallel execution strategy for both engines:
-	// sched.Leveled (the zero value) runs barrier-per-round fan-out/
-	// serial-merge; sched.DepDriven runs the dependency-driven pipeline
-	// that merges each task as soon as its predecessors in sequential
-	// discovery order have merged. Execution-only like Workers and Pool —
-	// results and deterministic counters are identical under either
-	// scheduler — so Key/AbstractKey exclude it.
-	Sched sched.Scheduler
 	// Pool is the shared scheduler pool parallel runs execute on; the
 	// caller keeps ownership. Nil lets each parallel run spin a private
 	// pool sized by Workers.
@@ -106,7 +97,6 @@ func (o RunOptions) ExploreOptions() explore.Options {
 		Reduction:  o.Reduction,
 		Coarsen:    o.Coarsen,
 		Workers:    o.Workers,
-		Sched:      o.Sched,
 		Pool:       o.Pool,
 		MaxConfigs: o.MaxConfigs,
 		ExactKeys:  o.ExactKeys,
@@ -121,7 +111,6 @@ func (o RunOptions) ExploreOptions() explore.Options {
 func (o RunOptions) AbstractOptions() abssem.Options {
 	return abssem.Options{
 		Workers:   o.Workers,
-		Sched:     o.Sched,
 		Pool:      o.Pool,
 		MaxStates: o.MaxConfigs,
 		Metrics:   o.Metrics,
@@ -139,9 +128,9 @@ func (o RunOptions) Strategy(red explore.Reduction, coarsen bool) RunOptions {
 
 // Key is the canonical cache key of a concrete run under these options:
 // it covers every field that can change an exploration's results and
-// excludes Workers, Sched, Pool, and Metrics, which the explorer's
-// determinism contract guarantees never do. Two RunOptions with equal
-// keys may share one traversal's derived analyses.
+// excludes Workers, Pool, and Metrics, which the explorer's determinism
+// contract guarantees never do. Two RunOptions with equal keys may share
+// one traversal's derived analyses.
 func (o RunOptions) Key() string {
 	return fmt.Sprintf("red=%d coarsen=%t max=%d exact=%t",
 		o.Reduction, o.Coarsen, o.MaxConfigs, o.ExactKeys)
@@ -149,8 +138,8 @@ func (o RunOptions) Key() string {
 
 // AbstractKey is the canonical cache key of an abstract run: the
 // normalized result-relevant fields of abssem.Options, excluding the
-// execution-only Workers/Sched/Pool/Metrics (bit-identical at any
-// worker count and under either scheduler by the engine's contract). Options that normalize equal — e.g.
+// execution-only Workers/Pool/Metrics (bit-identical at any worker
+// count by the engine's contract). Options that normalize equal — e.g.
 // KBirth 0 and KBirth 2 — share one key, fixing the historical cache
 // collision where Abstract() cached defaults forever while AbstractWith
 // never cached at all.

@@ -132,6 +132,18 @@ func SmallProfile() Profile {
 	return p
 }
 
+// CorpusProfile generates the programs of the engines' differential test
+// corpora: small sizes, so a corpus of dozens explores in seconds, but
+// the default shapes — 3-arm and nested cobegins, allocation, free and
+// function-valued locals.
+func CorpusProfile() Profile {
+	p := SmallProfile()
+	p.MaxArms = 3
+	p.CobeginBudget = 2
+	p.Alloc, p.Free, p.FirstClassFns = true, true, true
+	return p
+}
+
 // BigProfile stretches every knob (nightly soak): deeper cobegin nesting,
 // recursion at the activation limit, more allocation sites.
 func BigProfile() Profile {

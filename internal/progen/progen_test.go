@@ -133,6 +133,45 @@ func TestProfileKnobsRespected(t *testing.T) {
 	}
 }
 
+// The engines' differential corpora (the first 75 CorpusProfile seeds at
+// most) must keep the shapes that expose scheduling bugs: cobegins with
+// three arms and cobegins nested inside an arm.
+func TestCorpusProfileShapes(t *testing.T) {
+	threeArms, nested := 0, 0
+	for seed := int64(0); seed < 75; seed++ {
+		prog, _, err := Generate(seed, CorpusProfile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		has3, hasNested := false, false
+		for _, f := range prog.Funcs {
+			lang.WalkStmts(f.Body, func(s lang.Stmt) {
+				co, ok := s.(*lang.CobeginStmt)
+				if !ok {
+					return
+				}
+				has3 = has3 || len(co.Arms) >= 3
+				for _, arm := range co.Arms {
+					lang.WalkStmts(arm, func(s lang.Stmt) {
+						_, inner := s.(*lang.CobeginStmt)
+						hasNested = hasNested || inner
+					})
+				}
+			})
+		}
+		if has3 {
+			threeArms++
+		}
+		if hasNested {
+			nested++
+		}
+	}
+	t.Logf("of 75 programs: %d with a 3-arm cobegin, %d with a nested cobegin", threeArms, nested)
+	if threeArms < 25 || nested < 25 {
+		t.Errorf("corpus shapes too narrow: %d 3-arm and %d nested-cobegin programs of 75", threeArms, nested)
+	}
+}
+
 // Across the sweep, every language construct must be reachable: the
 // generator is only a useful differential driver if it exercises the
 // whole surface.
