@@ -38,7 +38,7 @@ bench:
 # against BASE (default origin/main) and print the benchstat delta.
 # Requires benchstat (go install golang.org/x/perf/cmd/benchstat@latest).
 BASE ?= origin/main
-BENCH_PAT ?= BenchmarkPhilosophers|BenchmarkEncode|BenchmarkParallelExploration|BenchmarkAbstract|BenchmarkSchedRounds|BenchmarkIncrementalReanalysis
+BENCH_PAT ?= BenchmarkPhilosophers|BenchmarkExplore|BenchmarkEncode|BenchmarkParallelExploration|BenchmarkAbstract|BenchmarkSchedRounds|BenchmarkIncrementalReanalysis
 benchcmp:
 	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -count=6 . > /tmp/bench-head.txt
 	@tmp=$$(mktemp -d); \

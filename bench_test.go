@@ -282,9 +282,9 @@ func BenchmarkAbstractInterpret(b *testing.B) {
 
 // BenchmarkAbstractParallel measures the parallel abstract fixpoint
 // engine against the sequential worklist on the heaviest abstract
-// reference workload (workers-n1 dispatches to the classic sequential
-// loop, so it IS the baseline; higher counts run the leveled
-// round-structured engine). Results are bit-identical at every worker
+// reference workload (workers-n1 is the sequential run, one entry per
+// round, so it IS the baseline; higher counts expand the whole pending
+// worklist per round). Results are bit-identical at every worker
 // count, so benchstat comparisons isolate pure scheduling cost/benefit.
 func BenchmarkAbstractParallel(b *testing.B) {
 	prog := workloads.Philosophers(5)

@@ -25,9 +25,10 @@
 // explorer; joins, widening decisions, and worklist order in the
 // abstract interpreter — so every result and every deterministic
 // metric is bit-identical at any worker count (differential tests pin
-// this under the race detector). Both engines run that contract as one
-// protocol, leveled fan-out/serial-merge rounds (sched.Rounds), and
-// keep their sequential loops as the reference. Both engines accept a
+// this under the race detector). Each engine has one loop and one
+// merge: a sequential run merges one-entry rounds at once, and a
+// parallel run hands each level-wide round to sched.Rounds, whose serial
+// replay calls the same merge. Both engines accept a
 // context (explore.ExploreContext, abssem.AnalyzeContext, or
 // core.Analyzer.WithContext): cancellation stops the run at its next
 // merge boundary and returns a coherent partial result flagged

@@ -48,7 +48,8 @@ type Options struct {
 	// negative count uses GOMAXPROCS. Every Result field and every
 	// deterministic metrics counter is bit-identical to the sequential
 	// engine's for any worker count: joins, widening decisions, dedup,
-	// and queue order stay in a serial per-round merge (see aparallel.go).
+	// and queue order stay in a serial per-round merge (see
+	// AnalyzeContext).
 	Workers int
 	// Pool, when non-nil, is the shared scheduler pool (internal/sched)
 	// the parallel fixpoint runs on: its worker count governs
@@ -197,8 +198,8 @@ type aState struct {
 	visits int
 	queued bool
 	// changed is the merge sequence number of the last join that grew
-	// this state's value component. Only the parallel engine reads it
-	// (stale-expansion detection); the sequential engine leaves it 0.
+	// this state's value component; merge compares it with the round's
+	// start to detect an expansion computed from a stale value state.
 	changed int
 }
 
@@ -231,18 +232,55 @@ func Analyze(prog *lang.Program, opts Options) *Result {
 // invariants, terminal join, and footprints cover the explored prefix,
 // and in-flight parallel expansions drain before AnalyzeContext returns
 // (no callback or worker touches the result afterwards).
+//
+// There is one worklist loop, run in rounds (after Kim, Venet & Thakur,
+// "Deterministic Parallel Fixpoint Computation", POPL 2020, and the
+// concrete explorer's rounds). A round expands worklist entries —
+// sc.step (abstract transfer functions), signature (Taylor fold keys),
+// and footprint recording into private scratch, all side-effect free —
+// into expansion slots, then merge replays them in worklist order:
+// visits, dedup, joins, widening decisions (visits >= WidenAfter), queue
+// appends, and the MaxStates cut all happen there, in one goroutine. A
+// sequential run (Workers 0 or 1) makes every round one entry, expanded
+// and merged at once; a parallel run makes every round the whole
+// pending worklist and hands it to the shared deterministic runtime
+// (internal/sched). Every Result field and every deterministic metrics
+// counter is therefore bit-identical at any worker count; the
+// worker-dependent counters (abs_steals, abs_stale_recomputes) are
+// perf-only.
+//
+// The one way a round's expansion can go stale is a join: merging an
+// earlier entry of the round may grow the value state of a later entry
+// (the abstract engine joins into stored states, where the concrete
+// explorer's states are immutable). merge compares each state's change
+// sequence number with the round's start and re-expands a stale entry
+// from its current value state, exactly as a one-entry round would have
+// seen it. A one-entry round is never stale; in wide rounds stale
+// entries are rare (a state must be re-joined in the same round that
+// re-visits it).
 func AnalyzeContext(ctx context.Context, prog *lang.Program, opts Options) *Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opts.fill()
-	if opts.Workers > 1 || opts.Workers < 0 {
-		return analyzeParallel(ctx, prog, opts)
-	}
-	// done is nil for a never-cancellable context, keeping the worklist
-	// loop's cancellation probe a single nil check.
-	done := ctx.Done()
 	m := opts.Metrics
+	var rounds *sched.Rounds[aExpansion]
+	if opts.Workers > 1 || opts.Workers < 0 {
+		pool := opts.Pool
+		if pool == nil {
+			pool = sched.NewPool(opts.Workers)
+			defer pool.Close()
+		}
+		rounds = sched.NewRounds[aExpansion](pool, sched.Hooks{
+			Width:       func(n int) { m.SetGauge(metrics.AbsFrontierWidth, int64(n)) },
+			Steals:      func(s int64) { m.Add(metrics.AbsSteals, s) },
+			ExpandPhase: func() func() { return m.Phase("abstract-expand") },
+			MergePhase:  func() func() { return m.Phase("abstract-merge") },
+		})
+	}
+	// done is nil for a never-cancellable context, keeping the sequential
+	// cancellation probe a single nil check.
+	done := ctx.Done()
 	defer m.Phase("abstract")()
 	sc := newStepCtx(prog, opts)
 	res := &Result{prog: prog, foot: sc.foot}
@@ -252,21 +290,13 @@ func AnalyzeContext(ctx context.Context, prog *lang.Program, opts Options) *Resu
 	sig0 := init.signature()
 	states[sig0] = &aState{cfg: init, queued: true}
 	queue := []ctrlSig{sig0}
+	// mergeSeq numbers the joins that changed a stored state; roundStart
+	// is its value when the current round's expansions were computed.
+	mergeSeq, roundStart := 0, 0
 
-fixpoint:
-	for len(queue) > 0 {
-		if done != nil {
-			select {
-			case <-done:
-				// Cancelled: cut exactly like the MaxStates truncation —
-				// fall through to collection so the run still reports
-				// invariants, terminals, and footprints for the explored
-				// prefix.
-				res.Cancelled = true
-				break fixpoint
-			default:
-			}
-		}
+	// merge pops queue[0] and replays its expansion e; it returns false
+	// on the MaxStates truncation cut.
+	merge := func(e *aExpansion) bool {
 		m.SetGauge(metrics.QueueLen, int64(len(queue)))
 		m.MaxGauge(metrics.MaxFrontier, int64(len(queue)))
 		sig := queue[0]
@@ -277,13 +307,12 @@ fixpoint:
 		res.Visits++
 		m.Inc(metrics.AbsVisits)
 
-		// Expansion goes through expandState — the same per-visit unit the
-		// parallel engines fan out — so all three engines replay literally
-		// identical successor sets (footprints land in per-process scratch
-		// and merge here in the same order the parallel serial merges use).
-		e := expandState(sc, stv.cfg)
 		if len(e.enabled) == 0 {
-			continue // terminal; collected after the fixpoint
+			return true // terminal; collected after the fixpoint
+		}
+		if stv.changed > roundStart {
+			*e = expandState(sc, stv.cfg)
+			m.Inc(metrics.AbsStaleRecomputes)
 		}
 		for j := range e.enabled {
 			sc.foot.merge(e.foots[j])
@@ -302,12 +331,8 @@ fixpoint:
 				cur, ok := states[nsig]
 				if !ok {
 					if len(states) >= opts.MaxStates {
-						// Truncated: stop iterating, but still fall
-						// through to the collection phase so the run
-						// reports invariants, terminals, and footprints
-						// for the prefix it explored.
 						res.Truncated = true
-						break fixpoint
+						return false
 					}
 					cur = &aState{cfg: succ.deepCopy()}
 					states[nsig] = cur
@@ -320,11 +345,51 @@ fixpoint:
 				if widen {
 					m.Inc(metrics.AbsWidenings)
 				}
-				if cur.cfg.joinInto(succ, widen) && !cur.queued {
-					cur.queued = true
-					queue = append(queue, nsig)
+				if cur.cfg.joinInto(succ, widen) {
+					mergeSeq++
+					cur.changed = mergeSeq
+					if !cur.queued {
+						cur.queued = true
+						queue = append(queue, nsig)
+					}
 				}
 			}
+		}
+		return true
+	}
+	// round is the pending worklist a parallel round expands; merge
+	// re-slices queue, never round's elements.
+	var round []ctrlSig
+	var slot aExpansion // the sequential run's one reused expansion
+	expandAt := func(i int, e *aExpansion) { *e = expandState(sc, states[round[i]].cfg) }
+	mergeAt := func(_ int, e *aExpansion) bool { return merge(e) }
+
+	for len(queue) > 0 {
+		roundStart = mergeSeq
+		ok := true
+		if rounds != nil {
+			round = queue
+			ok = rounds.DoContext(ctx, len(round), expandAt, mergeAt)
+		} else {
+			if done != nil {
+				select {
+				case <-done:
+					ok = false
+				default:
+				}
+			}
+			if ok {
+				slot = expandState(sc, states[queue[0]].cfg)
+				ok = merge(&slot)
+			}
+		}
+		if !ok {
+			// Truncated or cancelled: fall through to collection either
+			// way, so the partial result reports the explored prefix.
+			if !res.Truncated {
+				res.Cancelled = true
+			}
+			break
 		}
 	}
 

@@ -1,7 +1,6 @@
 package abssem
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 	"psa/internal/absdom"
 	"psa/internal/lang"
 	"psa/internal/metrics"
+	"psa/internal/sched"
 	"psa/internal/workloads"
 )
 
@@ -68,25 +68,21 @@ func sameResult(t *testing.T, seq, par *Result) {
 }
 
 // analyzeAt runs the parallel abstract engine at the given worker count.
-// Workers=1 short-circuits to the sequential loop in Analyze, so that
-// count drives analyzeParallel's single-worker inline path directly.
+// Workers=1 would make every round one entry, so that count runs
+// worklist-wide rounds inline instead, on a one-worker pool.
 func analyzeAt(prog *lang.Program, opts Options, workers int) *Result {
 	opts.Workers = workers
-	if workers != 1 {
-		return Analyze(prog, opts)
+	if workers == 1 {
+		pool := sched.NewPool(1)
+		defer pool.Close()
+		opts.Workers, opts.Pool = -1, pool
 	}
-	opts.fill()
-	return analyzeParallel(context.Background(), prog, opts)
+	return Analyze(prog, opts)
 }
 
-// matchesSequentialAbstract requires the parallel abstract fixpoint to
-// reproduce the sequential engine's Result bit-for-bit — including the
-// deterministic metrics counters — at every count in workers, across
-// domains and workload shapes. (CI runs this under -race; the workers
-// share the step context and the round's state snapshots, so the race
-// detector exercises the "workers only read, merge only writes"
-// discipline.)
-func matchesSequentialAbstract(t *testing.T, workers []int) {
+// abstractTables returns the domains and workload programs of the
+// abstract differential tables.
+func abstractTables() (map[string]absdom.NumDomain, map[string]*lang.Program) {
 	domains := map[string]absdom.NumDomain{
 		"const":    absdom.ConstDomain{},
 		"interval": absdom.IntervalDomain{},
@@ -100,6 +96,18 @@ func matchesSequentialAbstract(t *testing.T, workers []int) {
 		"prodcons": workloads.ProducerConsumer(2),
 		"busywait": workloads.BusyWait(),
 	}
+	return domains, progs
+}
+
+// matchesSequentialAbstract requires the parallel abstract fixpoint to
+// reproduce the sequential engine's Result bit-for-bit — including the
+// deterministic metrics counters — at every count in workers, across
+// domains and workload shapes. (CI runs this under -race; the workers
+// share the step context and the round's state snapshots, so the race
+// detector exercises the "workers only read, merge only writes"
+// discipline.)
+func matchesSequentialAbstract(t *testing.T, workers []int) {
+	domains, progs := abstractTables()
 	for dname, dom := range domains {
 		for pname, prog := range progs {
 			t.Run(dname+"/"+pname, func(t *testing.T) {
@@ -132,6 +140,35 @@ func TestParallelMatchesSequentialAbstract(t *testing.T) {
 // leveled executor is held to the same bar.
 func TestDepMatchesSequentialAbstract(t *testing.T) {
 	matchesSequentialAbstract(t, []int{1, 8, -1})
+}
+
+// A sequential run merges every entry in the round that expanded it, so
+// no expansion can go stale: abs_stale_recomputes stays 0 across the
+// abstract tables and the first 20 corpus programs.
+func TestSequentialNeverStale(t *testing.T) {
+	stale := func(t *testing.T, prog *lang.Program, opts Options) {
+		t.Helper()
+		m := metrics.New()
+		opts.Metrics = m
+		Analyze(prog, opts)
+		if n := m.Get(metrics.AbsStaleRecomputes); n != 0 {
+			t.Errorf("abs_stale_recomputes = %d at Workers 0, want 0", n)
+		}
+	}
+	domains, progs := abstractTables()
+	for dname, dom := range domains {
+		for pname, prog := range progs {
+			t.Run(dname+"/"+pname, func(t *testing.T) {
+				stale(t, prog, Options{Domain: dom, CollectFootprints: true})
+			})
+		}
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		prog := corpus(t, seed)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			stale(t, prog, Options{Domain: absdom.IntervalDomain{}, CollectFootprints: true, MaxStates: corpusMaxStates})
+		})
+	}
 }
 
 // The whole testdata corpus must analyze identically at any worker count.

@@ -82,10 +82,11 @@ type Options struct {
 	// fuse with probability ~n²/2¹²⁹ — see sem.Fingerprint. KeepGraph
 	// implies exact keys, since graph nodes are addressed by key.
 	ExactKeys bool
-	// Workers > 1 explores with that many goroutines (level-synchronized
-	// BFS); 0 or 1 is sequential and a negative count uses GOMAXPROCS.
-	// Counts, result sets, discovery parents, frontier order, and the
-	// sink event stream are all identical to the sequential explorer's.
+	// Workers > 1 explores with that many goroutines (each BFS level
+	// expanded as one round); 0 or 1 is sequential and a negative count
+	// uses GOMAXPROCS. Counts, result sets, discovery parents, frontier
+	// order, and the sink event stream are all identical to a sequential
+	// run's.
 	Workers int
 	// Pool, when non-nil, is the shared scheduler pool (internal/sched)
 	// parallel exploration runs on: its worker count governs scheduling,
@@ -174,6 +175,30 @@ func ExploreFrom(c0 *sem.Config, opts Options) *Result {
 
 // ExploreFromContext is ExploreFrom under a context (see ExploreContext
 // for the cancellation contract).
+//
+// There is one exploration loop, a breadth-first generation of the
+// configuration space in rounds over one FIFO queue. A round expands
+// queue entries (enabledness, stubborn sets, firing, canonical encoding
+// or fingerprinting) into expansion slots, then merge replays them in
+// queue order: all order-sensitive bookkeeping — dedup, discovery
+// parents, queue appends, counters, Sink callbacks, collected events,
+// the graph, and the MaxConfigs cut — happens there and only there. A
+// sequential run (Workers 0 or 1) makes every round one entry, expanded
+// into one reused slot and merged at once, so it holds one expansion at
+// a time. A parallel run makes every round one BFS level and hands it to
+// the shared deterministic runtime (internal/sched), whose workers fill
+// position-indexed slots that only the serial merge reads. Counts,
+// terminal sets, discovery parents, frontier order, the sink event
+// stream, and every deterministic counter are therefore identical at any
+// worker count: the merge sees the same stream whoever expanded it.
+//
+// Workers never touch the registry: fire returns its absorbed-step count
+// so speculative work past a truncation cut is not counted. The only
+// scheduling-dependent counters are the perf-only ones (steals, encoder
+// pool traffic). Cancellation is checked before every merge (by
+// rounds.DoContext on parallel runs), so a cancelled run returns the same
+// per-entry coherent prefix as a MaxConfigs cut, and no worker or
+// callback runs after return.
 func ExploreFromContext(ctx context.Context, c0 *sem.Config, opts Options) *Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -181,13 +206,21 @@ func ExploreFromContext(ctx context.Context, c0 *sem.Config, opts Options) *Resu
 	if opts.MaxConfigs <= 0 {
 		opts.MaxConfigs = 1 << 20
 	}
+	m := opts.Metrics
+	var rounds *sched.Rounds[expansion]
 	if opts.Workers > 1 || opts.Workers < 0 {
-		return exploreParallel(ctx, c0, opts, opts.Workers)
+		pool := opts.Pool
+		if pool == nil {
+			pool = sched.NewPool(opts.Workers)
+			defer pool.Close()
+		}
+		rounds = sched.NewRounds[expansion](pool, sched.Hooks{
+			Steals: func(s int64) { m.Add(metrics.FrontierSteals, s) },
+		})
 	}
-	// done is nil for a never-cancellable context, keeping the hot loop's
+	// done is nil for a never-cancellable context, keeping the sequential
 	// cancellation probe a single nil check.
 	done := ctx.Done()
-	m := opts.Metrics
 	defer m.Phase("explore")()
 	var sm *sem.Summaries
 	if opts.Reduction == Stubborn {
@@ -198,6 +231,9 @@ func ExploreFromContext(ctx context.Context, c0 *sem.Config, opts Options) *Resu
 		res.Graph = &Graph{Nodes: map[sem.Key]*Node{}}
 	}
 	ky := newKeyer(opts)
+	// The visited set is consulted only in merge: freshness (and so
+	// discovery parents and queue order) is never decided by racing
+	// workers.
 	vis := newVisited(ky.exact)
 	defer recordVisitedStats(m, vis)()
 
@@ -218,51 +254,49 @@ func ExploreFromContext(ctx context.Context, c0 *sem.Config, opts Options) *Resu
 	res.States = 1
 	m.Inc(metrics.StatesUnique)
 
-	// The FIFO queue visits configurations in BFS-level order, so level
-	// boundaries fall where the countdown of the current wave hits zero.
-	levelRemaining := len(queue)
-	m.BeginLevel(len(queue))
-	for head < len(queue) {
-		if done != nil {
-			select {
-			case <-done:
-				// Cancelled: cut exactly like MaxConfigs truncation — the
-				// artifacts already collected describe the explored prefix.
-				res.Cancelled = true
-				m.EndLevel()
-				return res
-			default:
+	// A coarsened run may only absorb a critical action beyond its
+	// first step under FULL expansion: with stubborn sets the fired
+	// transition must stay within the access set the stubborn check
+	// vetted (the first action), or interleavings are lost.
+	absorbLateCritical := opts.Reduction == Full
+
+	// expand computes one entry's expansion into e, which may hold the
+	// previous entry's (already merged) expansion.
+	expand := func(cur item, e *expansion) {
+		e.enabled = cur.cfg.Enabled()
+		e.steps, e.keys, e.fps, e.absorbed = e.steps[:0], e.keys[:0], e.fps[:0], e.absorbed[:0]
+		if len(e.enabled) == 0 {
+			return
+		}
+		fired := e.enabled
+		if opts.Reduction == Stubborn {
+			fired = stubbornSet(cur.cfg, e.enabled, sm)
+		}
+		for _, pi := range fired {
+			step, absorbed := fire(cur.cfg, pi, opts, absorbLateCritical)
+			e.steps = append(e.steps, step)
+			if ky.exact {
+				e.keys = append(e.keys, ky.keyOf(step.Config))
+			} else {
+				e.fps = append(e.fps, ky.fpOf(step.Config))
 			}
+			e.absorbed = append(e.absorbed, absorbed)
 		}
-		if levelRemaining == 0 {
-			m.EndLevel()
-			levelRemaining = len(queue) - head
-			m.BeginLevel(levelRemaining)
-		}
-		levelRemaining--
+	}
+
+	// merge pops queue[head] and replays its expansion e; it returns
+	// false on the MaxConfigs truncation cut.
+	merge := func(e *expansion) bool {
 		if size := len(queue) - head; size > res.MaxFrontier {
 			res.MaxFrontier = size
 		}
 		// Pop through a head index, zeroing the vacated slot: walking the
 		// slice with queue = queue[1:] would pin every popped *sem.Config
-		// (and key) in the backing array until exploration ends. Once the
-		// dead prefix dominates a large queue, compact the live tail to
-		// the front so append can reuse the space.
+		// (and key) in the backing array until exploration ends.
 		cur := queue[head]
 		queue[head] = item{}
 		head++
-		if head >= 1024 && head*2 >= len(queue) {
-			n := copy(queue, queue[head:])
-			stale := queue[n:]
-			for i := range stale {
-				stale[i] = item{}
-			}
-			queue = queue[:n]
-			head = 0
-		}
-
-		enabled := cur.cfg.Enabled()
-		if len(enabled) == 0 {
+		if len(e.enabled) == 0 {
 			tk := cur.key
 			if !ky.exact {
 				tk = ky.keyOf(cur.cfg)
@@ -278,31 +312,19 @@ func ExploreFromContext(ctx context.Context, c0 *sem.Config, opts Options) *Resu
 				n.Terminal = true
 				n.Err = cur.cfg.Err
 			}
-			continue
+			return true
 		}
-
 		if opts.Sink != nil {
-			reportCoEnabled(cur.cfg, enabled, opts.Sink)
+			reportCoEnabled(cur.cfg, e.enabled, opts.Sink)
 		}
-
-		expand := enabled
 		if opts.Reduction == Stubborn {
-			expand = stubbornSet(cur.cfg, enabled, sm)
-			countStubbornDecision(m, len(expand), len(enabled))
+			countStubbornDecision(m, len(e.steps), len(e.enabled))
 		}
-
-		// A coarsened run may only absorb a critical action beyond its
-		// first step under FULL expansion: with stubborn sets the fired
-		// transition must stay within the access set the stubborn check
-		// vetted (the first action), or interleavings are lost.
-		absorbLateCritical := opts.Reduction == Full
-
-		for _, pi := range expand {
-			step, absorbed := fire(cur.cfg, pi, opts, absorbLateCritical)
+		for j, step := range e.steps {
 			res.Edges++
 			m.Inc(metrics.TransitionsFired)
 			m.Inc(metrics.StatesGenerated)
-			m.Add(metrics.CoarsenedSteps, int64(absorbed))
+			m.Add(metrics.CoarsenedSteps, int64(e.absorbed[j]))
 			if opts.Sink != nil {
 				opts.Sink.Transition(step)
 			}
@@ -313,10 +335,10 @@ func ExploreFromContext(ctx context.Context, c0 *sem.Config, opts Options) *Resu
 			var k sem.Key
 			var fresh bool
 			if ky.exact {
-				k = ky.keyOf(step.Config)
+				k = e.keys[j]
 				fresh = vis.addKey(k)
 			} else {
-				fresh = vis.addFP(ky.fpOf(step.Config))
+				fresh = vis.addFP(e.fps[j])
 			}
 			if res.Graph != nil {
 				res.Graph.Nodes[cur.key].Out = append(res.Graph.Nodes[cur.key].Out,
@@ -334,13 +356,60 @@ func ExploreFromContext(ctx context.Context, c0 *sem.Config, opts Options) *Resu
 				}
 				if res.States >= opts.MaxConfigs {
 					res.Truncated = true
-					m.EndLevel()
-					return res
+					return false
 				}
 				queue = append(queue, item{step.Config, k})
 			} else {
 				m.Inc(metrics.DedupHits)
 			}
+		}
+		return true
+	}
+	expandAt := func(i int, e *expansion) { expand(queue[head+i], e) }
+	mergeAt := func(_ int, e *expansion) bool { return merge(e) }
+
+	var slot expansion     // the sequential run's one reused expansion
+	levelEnd := len(queue) // queue index one past the current BFS level
+	m.BeginLevel(levelEnd)
+	for head < len(queue) {
+		// Between rounds, once the dead prefix dominates a large queue,
+		// compact the live tail to the front so append can reuse the
+		// space.
+		if head >= 1024 && head*2 >= len(queue) {
+			n := copy(queue, queue[head:])
+			clear(queue[n:])
+			queue = queue[:n]
+			levelEnd -= head
+			head = 0
+		}
+		if head == levelEnd {
+			m.EndLevel()
+			levelEnd = len(queue)
+			m.BeginLevel(levelEnd - head)
+		}
+		ok := true
+		if rounds != nil {
+			ok = rounds.DoContext(ctx, levelEnd-head, expandAt, mergeAt)
+		} else {
+			if done != nil {
+				select {
+				case <-done:
+					ok = false
+				default:
+				}
+			}
+			if ok {
+				expand(queue[head], &slot)
+				ok = merge(&slot)
+			}
+		}
+		if !ok {
+			// Either the MaxConfigs cut (merge returned false after
+			// setting Truncated) or ctx cancellation stopped the round.
+			if !res.Truncated {
+				res.Cancelled = true
+			}
+			break
 		}
 	}
 	m.EndLevel()
@@ -364,13 +433,26 @@ func countStubbornDecision(m *metrics.Registry, expanded, enabled int) {
 	}
 }
 
-// item is one frontier entry: the configuration plus, in exact-key mode,
+// item is one queue entry: the configuration plus, in exact-key mode,
 // its canonical key (empty in fingerprint mode — identity was already
 // checked when the item was enqueued, and terminal keys are computed
 // lazily).
 type item struct {
 	cfg *sem.Config
 	key sem.Key
+}
+
+// expansion is one queue entry's precomputed results: the enabled set,
+// the fired steps with their state identities (keys in exact mode,
+// fingerprints otherwise), and the coarsened micro-step counts —
+// everything merge needs to replay the entry's bookkeeping. An empty
+// enabled set marks a terminal.
+type expansion struct {
+	enabled  []int
+	steps    []*sem.StepResult
+	keys     []sem.Key         // exact mode
+	fps      []sem.Fingerprint // fingerprint mode
+	absorbed []int             // coarsened micro-steps per fired transition
 }
 
 // keyer selects a run's state-identity mode: exact canonical keys
@@ -395,9 +477,8 @@ func newKeyer(opts Options) keyer {
 	return k
 }
 
-// visited is the dedup set behind both explorers, in either key mode.
-// It is only ever touched from serial code (the sequential loop or the
-// parallel explorer's per-level merge), so it needs no locking.
+// visited is the explorer's dedup set, in either key mode. It is only
+// ever touched from the serial merge, so it needs no locking.
 type visited struct {
 	keys     map[sem.Key]bool
 	keyBytes int64
@@ -457,8 +538,8 @@ func recordVisitedStats(m *metrics.Registry, vis *visited) func() {
 
 // fire executes one (possibly coarsened) transition of process pi and
 // reports how many extra micro-steps the run absorbed. The count is
-// returned rather than recorded so each explorer can credit it in its
-// own (serial, deterministic) accounting loop.
+// returned rather than recorded so the serial merge can credit it in
+// deterministic order.
 func fire(c *sem.Config, pi int, opts Options, absorbLateCritical bool) (*sem.StepResult, int) {
 	// Nothing downstream reads the per-access event stream unless a sink
 	// or event collection asked for it, so skip materializing it (the

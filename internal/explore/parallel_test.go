@@ -1,13 +1,13 @@
 package explore
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
 	"psa/internal/lang"
 	"psa/internal/metrics"
 	"psa/internal/progen"
+	"psa/internal/sched"
 	"psa/internal/sem"
 	"psa/internal/workloads"
 )
@@ -24,17 +24,16 @@ func corpus(t *testing.T, seed int64) *lang.Program {
 }
 
 // exploreAt runs the parallel explorer from c0 at the given worker count.
-// Workers=1 short-circuits to the sequential loop in ExploreFrom, so that
-// count drives exploreParallel's single-worker inline path directly.
+// Workers=1 would make every round one entry, so that count runs
+// level-wide rounds inline instead, on a one-worker pool.
 func exploreAt(c0 *sem.Config, opts Options, workers int) *Result {
 	opts.Workers = workers
-	if workers != 1 {
-		return ExploreFrom(c0, opts)
+	if workers == 1 {
+		pool := sched.NewPool(1)
+		defer pool.Close()
+		opts.Workers, opts.Pool = -1, pool
 	}
-	if opts.MaxConfigs <= 0 {
-		opts.MaxConfigs = 1 << 20
-	}
-	return exploreParallel(context.Background(), c0, opts, 1)
+	return ExploreFrom(c0, opts)
 }
 
 // sweep is the worker-count sweep of the parallel differential tests;

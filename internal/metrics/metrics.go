@@ -79,9 +79,9 @@ const (
 	// AbsStaleRecomputes counts worklist entries the parallel abstract
 	// engine had to re-expand serially because a join earlier in the same
 	// round grew their value state after the workers snapshotted it. The
-	// count is a deterministic property of the round structure, but the
-	// sequential engine never recomputes, so it stays outside the
-	// deterministic counter set.
+	// count is a deterministic property of the round structure, but a
+	// sequential run (one-entry rounds) never recomputes, so it stays
+	// outside the deterministic counter set.
 	AbsStaleRecomputes
 	// PipelineFusedSinks counts sinks fed from a shared traversal by a
 	// pipeline.MultiSink (per fused run, one increment per sink beyond

@@ -153,10 +153,10 @@ func AbstractKey(o abssem.Options) string {
 // registration order. It implements explore.Sink; feed it to one
 // explore.Explore call in place of N separate explorations.
 //
-// Determinism: the explorer delivers sink callbacks from serial code (the
-// sequential loop or the parallel merge) in an order that is itself
-// bit-identical at any worker count, and MultiSink forwards each callback
-// to every sink synchronously, in order. Each sink therefore observes
+// Determinism: the explorer delivers sink callbacks from serial code (its
+// merge) in an order that is itself bit-identical at any worker count,
+// and MultiSink forwards each callback to every sink synchronously, in
+// order. Each sink therefore observes
 // exactly the stream it would have observed as the sole sink of its own
 // traversal.
 //

@@ -30,8 +30,8 @@ type Hooks struct {
 // i), then a serial merge reads the slots in index order. All
 // order-sensitive engine state — dedup, joins, queue appends, truncation
 // cuts — belongs in the merge, which is the protocol's determinism
-// guarantee: the merge sees exactly the stream a sequential engine would
-// produce, whatever the worker count.
+// guarantee: the merge sees exactly the stream a sequential run (one
+// entry per round) would produce, whatever the worker count.
 //
 // The slot array is reused (and zeroed) across rounds, so per-round slot
 // allocation is paid once per high-water mark, not once per round. A
@@ -42,14 +42,13 @@ type Rounds[T any] struct {
 	slots []T
 }
 
-// NewRounds returns a Rounds runtime over the pool (nil for inline
-// serial execution) with the given hooks.
+// NewRounds returns a Rounds runtime over the pool with the given hooks.
+// The engines build one only for parallel runs, always on a real pool
+// (a one-worker pool runs every round inline); their sequential runs
+// merge one-entry rounds without a Rounds. A nil pool also runs inline.
 func NewRounds[T any](pool *Pool, hooks Hooks) *Rounds[T] {
 	return &Rounds[T]{pool: pool, hooks: hooks}
 }
-
-// Pool returns the pool the runtime schedules on (nil when inline).
-func (r *Rounds[T]) Pool() *Pool { return r.pool }
 
 // Do runs one round of width n: expand(i, slot) fills slot i in
 // parallel for every i in [0, n), from zeroed slots; then merge(i, slot)

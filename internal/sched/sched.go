@@ -1,8 +1,9 @@
 // Package sched is the deterministic parallel runtime shared by the
 // framework's engines: the concrete explorer (internal/explore) and the
-// abstract fixpoint engine (internal/abssem) both run as sequences of
-// leveled rounds, and this package owns everything about a round that is
-// engine-independent —
+// abstract fixpoint engine (internal/abssem) each run one loop of
+// rounds, a round being one entry on a sequential run and one level (or
+// pending worklist) on a parallel run. This package owns everything
+// about a parallel round that is engine-independent —
 //
 //   - Pool: a persistent set of worker goroutines reused across rounds
 //     and across engine invocations, replacing the per-level goroutine
@@ -132,9 +133,9 @@ func NewPool(workers int) *Pool {
 }
 
 // ForWorkers maps a CLI-style worker-count request to a pool: nil for a
-// sequential request (0 or 1 — the engines won't dispatch to their
-// parallel paths anyway), GOMAXPROCS workers for a negative count, n
-// workers otherwise. The caller must Close the result (safe on nil).
+// sequential request (0 or 1 — the engines run one-entry rounds without
+// a pool then), GOMAXPROCS workers for a negative count, n workers
+// otherwise. The caller must Close the result (safe on nil).
 func ForWorkers(n int) *Pool {
 	if n == 0 || n == 1 {
 		return nil
